@@ -31,8 +31,7 @@ double throughput(const scenario& sc, Factory&& f) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  lfst::bench::metrics_reporter metrics(argc, argv);
-  lfst::bench::trace_reporter traces(argc, argv);
+  lfst::bench::telemetry_reporter telemetry(argc, argv);
   const bench_config cfg = bench_config::from_env();
   lfst::bench::print_header(
       "Ablation D: allocation policy (pooled slabs vs global heap)", cfg);

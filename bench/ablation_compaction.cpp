@@ -71,8 +71,7 @@ outcome run(bool compaction, const bench_config& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  lfst::bench::metrics_reporter metrics(argc, argv);
-  lfst::bench::trace_reporter traces(argc, argv);
+  lfst::bench::telemetry_reporter telemetry(argc, argv);
   const bench_config cfg = bench_config::from_env();
   lfst::bench::print_header("Ablation A: online node compaction on/off", cfg);
 

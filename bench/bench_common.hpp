@@ -11,36 +11,35 @@
 // The defaults are sized for a small CI-class machine; raising OPS/TRIALS
 // toward the paper's 5M x 64 sharpens the statistics without changing the
 // harness.
-// A metrics sidecar can ride along with any bench: pass --metrics-json
-// (or --metrics-json=PATH, or set LFST_METRICS_JSON=PATH) and the process
-// writes a JSON-lines dump of the metrics registry on exit.  The counters
-// are only populated in -DLFST_METRICS=ON builds; an OFF build writes an
-// all-zero dump, making the flag safe to leave in scripts.
 //
-// Two more sidecars complete the observability pipeline:
+// Two sidecars ride along with any bench:
 //
-//   --bench-json[=PATH]  (env LFST_BENCH_JSON)   machine-readable summary of
-//       every measured configuration -- the file tools/bench_gate.py diffs
-//       against the checked-in BENCH_*.json baselines;
-//   --trace-json[=PATH] / --trace-bin[=PATH] (env LFST_TRACE_JSON /
-//       LFST_TRACE_BIN)  span-trace dumps, Chrome/Perfetto JSON or the
-//       compact binary that tools/trace2perfetto.py converts.  Meaningful in
-//       -DLFST_TRACE=ON builds; an OFF build writes an empty trace.
+//   --bench-json[=PATH]      (env LFST_BENCH_JSON)  machine-readable summary
+//       of every measured configuration -- the file tools/bench_gate.py
+//       diffs against the checked-in BENCH_*.json baselines;
+//   --telemetry-json[=PATH]  (env LFST_TELEMETRY_JSON)  the observability
+//       sidecar: one JSON-lines file holding the telemetry plane's schema,
+//       samples and latency sketches, any heatmaps the bench attaches, a
+//       closing counters line (EBR domain, pool, and whatever structure
+//       counters the bench passes in) and -- in -DLFST_TRACE=ON builds --
+//       one Chrome trace_event line per recorded span.  Read it with
+//       tools/telemetry_report.py (add --perfetto OUT for a trace file).
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/metrics.hpp"
-#include "common/metrics_export.hpp"
+#include "alloc/pool.hpp"
 #include "common/stats.hpp"
 #include "common/telemetry.hpp"
 #include "common/trace.hpp"
-#include "common/trace_export.hpp"
+#include "reclaim/ebr.hpp"
 #include "skiptree/detail/kernel.hpp"
 #include "workload/table.hpp"
 #include "workload/workload.hpp"
@@ -99,62 +98,6 @@ inline void print_header(const char* what, const bench_config& c) {
               "LFST_BENCH_OPS / LFST_BENCH_TRIALS / LFST_BENCH_THREADS)\n\n",
               c.ops, c.trials, skiptree::selected_kernel_name());
 }
-
-/// Scope object every bench main constructs first: consumes the
-/// `--metrics-json[=PATH]` argument (removing it from argv so downstream
-/// parsers -- google-benchmark in particular -- never see it) and, if the
-/// flag or the LFST_METRICS_JSON environment variable asked for a sidecar,
-/// writes the aggregated registry as JSON lines on destruction.
-class metrics_reporter {
- public:
-  metrics_reporter(int& argc, char** argv) {
-    if (const char* env = std::getenv("LFST_METRICS_JSON");
-        env != nullptr && *env != '\0') {
-      path_ = env;
-    }
-    int w = 1;
-    for (int r = 1; r < argc; ++r) {
-      if (std::strcmp(argv[r], "--metrics-json") == 0) {
-        if (path_.empty()) path_ = "metrics.jsonl";
-        continue;
-      }
-      if (std::strncmp(argv[r], "--metrics-json=", 15) == 0) {
-        path_ = argv[r] + 15;
-        continue;
-      }
-      argv[w++] = argv[r];
-    }
-    argc = w;
-  }
-
-  metrics_reporter(const metrics_reporter&) = delete;
-  metrics_reporter& operator=(const metrics_reporter&) = delete;
-
-  ~metrics_reporter() {
-    if (path_.empty()) return;
-    const auto& reg = metrics::registry::instance();
-    if (metrics::write_json_file(path_, reg.aggregate(), reg.drain_trace())) {
-      // Append the run's search-kernel selection as a meta record: the gate
-      // only consumes counter/histogram/gauge lines, but humans diffing
-      // sidecars need to know which kernel produced the numbers.
-      if (std::FILE* f = std::fopen(path_.c_str(), "a"); f != nullptr) {
-        std::fprintf(f, "{\"type\":\"meta\",\"name\":\"kernel\",\"value\":"
-                        "\"%s\"}\n",
-                     skiptree::selected_kernel_name());
-        std::fclose(f);
-      }
-      std::fprintf(stderr, "metrics sidecar written to %s\n", path_.c_str());
-    } else {
-      std::fprintf(stderr, "metrics sidecar: cannot write %s\n",
-                   path_.c_str());
-    }
-  }
-
-  bool enabled() const noexcept { return !path_.empty(); }
-
- private:
-  std::string path_;
-};
 
 /// Consume `--flag` / `--flag=PATH` from argv, falling back to `env`.
 /// Returns the chosen path ("" when the sidecar was not requested;
@@ -217,7 +160,7 @@ class bench_json_reporter {
     // "regressing" against an avx2 baseline is a configuration error, not a
     // performance signal).
     std::fprintf(f, "{\"bench\":\"%s\",\"kernel\":\"%s\",\"entries\":[",
-                 metrics::json_escape(bench_).c_str(),
+                 telemetry::json_escape(bench_).c_str(),
                  skiptree::selected_kernel_name());
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const entry& e = entries_[i];
@@ -228,40 +171,20 @@ class bench_json_reporter {
           "\"ops_per_ms\":{\"mean\":%.6g,\"stddev\":%.6g,\"min\":%.6g,"
           "\"max\":%.6g,\"p50\":%.6g,\"p90\":%.6g,\"p95\":%.6g,"
           "\"p99\":%.6g}",
-          i == 0 ? "" : ",", metrics::json_escape(e.name).c_str(), e.threads,
+          i == 0 ? "" : ",", telemetry::json_escape(e.name).c_str(), e.threads,
           s.count, s.mean, s.stddev, s.min, s.max, s.p50, s.p90, s.p95, s.p99);
       if (!e.extra.empty()) {
         std::fprintf(f, ",\"extra\":{");
         for (std::size_t j = 0; j < e.extra.size(); ++j) {
           std::fprintf(f, "%s\"%s\":%.6g", j == 0 ? "" : ",",
-                       metrics::json_escape(e.extra[j].first).c_str(),
+                       telemetry::json_escape(e.extra[j].first).c_str(),
                        e.extra[j].second);
         }
         std::fprintf(f, "}");
       }
       std::fprintf(f, "}");
     }
-    std::fprintf(f, "\n],\"retry_hists\":{");
-    // Retry-shape context rides along so a regression diff can distinguish
-    // "slower because contending more" from "slower, same contention".
-    // Nonzero log2 buckets only; all-zero in metrics-OFF builds.
-    const auto snap = metrics::registry::instance().aggregate();
-    bool first_h = true;
-    for (const auto& h : snap.histograms) {
-      if (h.name.find("retries") == std::string_view::npos) continue;
-      std::fprintf(f, "%s\"%s\":[", first_h ? "" : ",",
-                   metrics::json_escape(h.name).c_str());
-      first_h = false;
-      bool first_b = true;
-      for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-        if (h.buckets[b] == 0) continue;
-        std::fprintf(f, "%s[%zu,%llu]", first_b ? "" : ",", b,
-                     static_cast<unsigned long long>(h.buckets[b]));
-        first_b = false;
-      }
-      std::fprintf(f, "]");
-    }
-    std::fprintf(f, "}}\n");
+    std::fprintf(f, "\n]}\n");
     std::fclose(f);
     std::fprintf(stderr, "bench json written to %s\n", path_.c_str());
   }
@@ -279,42 +202,54 @@ class bench_json_reporter {
   std::vector<entry> entries_;
 };
 
-/// Telemetry sidecar: --telemetry-json[=PATH] (env LFST_TELEMETRY_JSON)
-/// starts the plane's background aggregator (interval from
-/// LFST_TELEMETRY_INTERVAL_MS, default 50) for the life of the bench and
-/// writes the JSON-lines export -- schema, ring samples, sketch summaries
-/// -- on destruction.  --telemetry-prom[=PATH] (env LFST_TELEMETRY_PROM)
-/// additionally writes the Prometheus text exposition of the final state.
-/// Benches can note() extra pre-serialized JSON-lines records (the
-/// contention heatmap) to append to the JSON sidecar.  Hot-path hooks only
-/// populate the sketches in -DLFST_TELEMETRY=ON builds (the default);
-/// compiled-out builds still write a valid, mostly-empty file.
+/// The observability sidecar: --telemetry-json[=PATH] (env
+/// LFST_TELEMETRY_JSON) starts the telemetry plane's background aggregator
+/// (every telemetry::kSnapshotInterval) for the life of the bench and, on
+/// destruction, writes one JSON-lines file:
+///
+///   telemetry_schema / telemetry_sample / sketch   the plane's export;
+///   note()d records                                e.g. CAS heatmaps;
+///   {"type":"counters","values":{...}}             exact counts: the
+///       default EBR domain's stats(), the pool's counters(), and every
+///       count()ed bench counter (summed per name);
+///   {"type":"span",...}                            one Chrome trace_event
+///       per span in the ring (LFST_TRACE builds; otherwise none);
+///   {"type":"meta","name":"kernel",...}            the search kernel.
 class telemetry_reporter {
  public:
   telemetry_reporter(int& argc, char** argv)
-      : json_path_(consume_path_flag(argc, argv, "--telemetry-json",
-                                     "LFST_TELEMETRY_JSON",
-                                     "telemetry.jsonl")),
-        prom_path_(consume_path_flag(argc, argv, "--telemetry-prom",
-                                     "LFST_TELEMETRY_PROM",
-                                     "telemetry.prom")) {
-    if (!enabled()) return;
-    const std::size_t ms = env_size("LFST_TELEMETRY_INTERVAL_MS", 50);
-    telemetry::plane::instance().start(
-        std::chrono::milliseconds(ms == 0 ? 50 : ms));
+      : path_(consume_path_flag(argc, argv, "--telemetry-json",
+                                "LFST_TELEMETRY_JSON", "telemetry.jsonl")) {
+    if (enabled()) {
+      telemetry::plane::instance().start(telemetry::kSnapshotInterval);
+    }
   }
 
   telemetry_reporter(const telemetry_reporter&) = delete;
   telemetry_reporter& operator=(const telemetry_reporter&) = delete;
 
-  bool enabled() const noexcept {
-    return !json_path_.empty() || !prom_path_.empty();
-  }
+  bool enabled() const noexcept { return !path_.empty(); }
 
   /// Append one pre-serialized JSON object (no trailing newline needed) to
-  /// the JSON-lines sidecar, e.g. a heatmap_snapshot::to_json() record.
-  void note(std::string json_line) {
-    notes_.push_back(std::move(json_line));
+  /// the sidecar, e.g. a heatmap_snapshot::to_json() record.
+  void note(std::string json_line) { notes_.push_back(std::move(json_line)); }
+
+  /// Add `n` to counter `name` on the closing counters line.
+  void count(const std::string& name, std::uint64_t n) { counters_[name] += n; }
+
+  /// Add a skip-tree's structural counters (skip_tree::stats()) under
+  /// "skiptree.*".
+  template <typename Stats>
+  void count_tree(const Stats& s) {
+    count("skiptree.cas_failures", s.cas_failures);
+    count("skiptree.splits", s.splits);
+    count("skiptree.root_raises", s.root_raises);
+    count("skiptree.empty_bypasses", s.empty_bypasses);
+    count("skiptree.ref_repairs", s.ref_repairs);
+    count("skiptree.duplicate_drops", s.duplicate_drops);
+    count("skiptree.migrations", s.migrations);
+    count("skiptree.alloc_failures", s.alloc_failures);
+    count("skiptree.compactions_skipped", s.compactions_skipped);
   }
 
   ~telemetry_reporter() {
@@ -322,89 +257,58 @@ class telemetry_reporter {
     auto& p = telemetry::plane::instance();
     p.stop();
     p.snapshot_now();  // final sample so short runs export at least one
-    if (!json_path_.empty()) {
-      if (p.write_json_file(json_path_)) {
-        if (std::FILE* f = std::fopen(json_path_.c_str(), "a");
-            f != nullptr) {
-          for (const std::string& n : notes_) {
-            std::fprintf(f, "%s\n", n.c_str());
-          }
-          std::fprintf(f,
-                       "{\"type\":\"meta\",\"name\":\"kernel\",\"value\":"
-                       "\"%s\"}\n",
-                       skiptree::selected_kernel_name());
-          std::fclose(f);
-        }
-        std::fprintf(stderr, "telemetry sidecar written to %s\n",
-                     json_path_.c_str());
-      } else {
-        std::fprintf(stderr, "telemetry sidecar: cannot write %s\n",
-                     json_path_.c_str());
-      }
+    std::FILE* f = std::fopen(path_.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "telemetry sidecar: cannot write %s\n",
+                   path_.c_str());
+      return;
     }
-    if (!prom_path_.empty()) {
-      if (std::FILE* f = std::fopen(prom_path_.c_str(), "w"); f != nullptr) {
-        const std::string text = p.to_prometheus();
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-        std::fprintf(stderr, "telemetry exposition written to %s\n",
-                     prom_path_.c_str());
-      } else {
-        std::fprintf(stderr, "telemetry exposition: cannot write %s\n",
-                     prom_path_.c_str());
-      }
+    std::string body = p.to_json_lines();
+    for (const std::string& n : notes_) body += n + "\n";
+    body += counters_line();
+    body += trace::to_chrome_lines(trace::trace_registry::instance().drain(),
+                                   metrics::ticks_per_us());
+    body += std::string("{\"type\":\"meta\",\"name\":\"kernel\",\"value\":\"") +
+            skiptree::selected_kernel_name() + "\"}\n";
+    const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
+    if (std::fclose(f) == 0 && ok) {
+      std::fprintf(stderr, "telemetry sidecar written to %s\n", path_.c_str());
+    } else {
+      std::fprintf(stderr, "telemetry sidecar: cannot write %s\n",
+                   path_.c_str());
     }
   }
 
  private:
-  std::string json_path_;
-  std::string prom_path_;
+  std::string counters_line() {
+    const reclaim::domain_stats d = reclaim::ebr_domain::global().stats();
+    count("ebr.epoch", d.epoch);
+    count("ebr.limbo_blocks", d.limbo_blocks);
+    count("ebr.limbo_bytes", d.limbo_bytes);
+    count("ebr.limbo_bytes_hwm", d.limbo_bytes_hwm);
+    count("ebr.overflow_blocks", d.overflow_blocks);
+    count("ebr.overflow_bytes", d.overflow_bytes);
+    count("ebr.overflow_bytes_hwm", d.overflow_bytes_hwm);
+    count("ebr.quarantined", d.quarantined);
+    const alloc::alloc_counters a = alloc::pool_policy::counters();
+    count("pool.allocations", a.allocations);
+    count("pool.hits", a.pool_hits);
+    count("pool.slab_carves", a.slab_carves);
+    count("pool.fallbacks", a.fallbacks);
+    count("pool.deallocations", a.deallocations);
+    std::string out = "{\"type\":\"counters\",\"values\":{";
+    bool first = true;
+    for (const auto& [name, value] : counters_) {
+      out += (first ? "\"" : ",\"") + telemetry::json_escape(name) +
+             "\":" + std::to_string(value);
+      first = false;
+    }
+    return out + "}}\n";
+  }
+
+  std::string path_;
   std::vector<std::string> notes_;
-};
-
-/// Span-trace sidecar: on destruction, drains the trace registry and writes
-/// the Chrome/Perfetto JSON (--trace-json) and/or the compact binary
-/// (--trace-bin).  Rings fill only in -DLFST_TRACE=ON builds; elsewhere the
-/// files are valid but empty, so the flags are safe to leave in scripts.
-class trace_reporter {
- public:
-  trace_reporter(int& argc, char** argv)
-      : json_path_(consume_path_flag(argc, argv, "--trace-json",
-                                     "LFST_TRACE_JSON", "trace.json")),
-        bin_path_(consume_path_flag(argc, argv, "--trace-bin",
-                                    "LFST_TRACE_BIN", "trace.bin")) {}
-
-  trace_reporter(const trace_reporter&) = delete;
-  trace_reporter& operator=(const trace_reporter&) = delete;
-
-  ~trace_reporter() {
-    if (json_path_.empty() && bin_path_.empty()) return;
-    const auto& reg = trace::trace_registry::instance();
-    const auto spans = reg.drain();
-    const double tpu = reg.ticks_per_us();
-    if (!json_path_.empty()) {
-      if (trace::write_chrome_json_file(json_path_, spans, tpu)) {
-        std::fprintf(stderr, "trace json (%zu spans) written to %s\n",
-                     spans.size(), json_path_.c_str());
-      } else {
-        std::fprintf(stderr, "trace json: cannot write %s\n",
-                     json_path_.c_str());
-      }
-    }
-    if (!bin_path_.empty()) {
-      if (trace::write_binary_file(bin_path_, spans, tpu)) {
-        std::fprintf(stderr, "trace bin (%zu spans) written to %s\n",
-                     spans.size(), bin_path_.c_str());
-      } else {
-        std::fprintf(stderr, "trace bin: cannot write %s\n",
-                     bin_path_.c_str());
-      }
-    }
-  }
-
- private:
-  std::string json_path_;
-  std::string bin_path_;
+  std::map<std::string, std::uint64_t> counters_;
 };
 
 }  // namespace lfst::bench

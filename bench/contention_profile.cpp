@@ -10,7 +10,8 @@
 // The always-on CAS heatmap (skiptree/heatmap.hpp) rides along: every
 // configuration prints WHERE the failures landed (hottest level and its
 // share), every heatmap goes into the --telemetry-json sidecar for
-// tools/telemetry_report.py, and the harness HARD-CHECKS the attribution
+// tools/telemetry_report.py (each tree's structural counters are summed
+// onto its counters line), and the harness HARD-CHECKS the attribution
 // invariant -- the heatmap's bucket totals must equal the tree's
 // cas_failures counter exactly (the tree is quiescent when both are read).
 // A mismatch exits nonzero so CI catches a missed attribution site.
@@ -22,8 +23,6 @@
 #include "skiptree/skip_tree.hpp"
 
 int main(int argc, char** argv) {
-  lfst::bench::metrics_reporter metrics(argc, argv);
-  lfst::bench::trace_reporter traces(argc, argv);
   lfst::bench::telemetry_reporter telemetry(argc, argv);
   using lfst::bench::bench_config;
   using lfst::workload::scenario;
@@ -87,6 +86,7 @@ int main(int argc, char** argv) {
           "\"range\":\"" + lfst::bench::range_name(range) +
               "\",\"threads\":" + std::to_string(threads) +
               ",\"cas_failures\":" + std::to_string(lifetime)));
+      telemetry.count_tree(set->stats());
 
       tab.add_row(
           {lfst::bench::range_name(range), std::to_string(threads),

@@ -33,8 +33,7 @@ double run_one(const iteration_scenario& sc) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  lfst::bench::metrics_reporter metrics(argc, argv);
-  lfst::bench::trace_reporter traces(argc, argv);
+  lfst::bench::telemetry_reporter telemetry(argc, argv);
   const bench_config cfg = bench_config::from_env();
   lfst::bench::print_header(
       "Figure 10: single-thread iteration throughput under contention", cfg);

@@ -105,9 +105,7 @@ struct health_accumulator {
 }  // namespace
 
 int main(int argc, char** argv) {
-  lfst::bench::metrics_reporter metrics(argc, argv);
   lfst::bench::bench_json_reporter bench_json("fig9", argc, argv);
-  lfst::bench::trace_reporter traces(argc, argv);
   lfst::bench::telemetry_reporter telemetry(argc, argv);
   const bench_config cfg = bench_config::from_env();
   lfst::bench::print_header("Figure 9: throughput vs thread count", cfg);

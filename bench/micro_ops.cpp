@@ -185,7 +185,7 @@ BENCHMARK_TEMPLATE(BM_Iterate, lfst::blinktree::blink_tree<key>)
 
 // Multi-threaded add/remove over a deliberately tiny key range: the whole
 // set fits in a handful of leaves, so concurrent payload CASes collide and
-// the skip-tree's retry paths (and hence the LFST_METRICS retry histograms)
+// the skip-tree's retry paths (and the retries charged to LFST_TRACE spans)
 // become non-trivial.
 void BM_ContendedAddRemove(benchmark::State& state) {
   static lfst::skiptree::skip_tree<key>* shared = [] {
@@ -235,9 +235,8 @@ class json_capture_reporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
-  lfst::bench::metrics_reporter metrics(argc, argv);
+  lfst::bench::telemetry_reporter telemetry(argc, argv);
   lfst::bench::bench_json_reporter bench_json("micro", argc, argv);
-  lfst::bench::trace_reporter traces(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   json_capture_reporter reporter(bench_json);

@@ -15,9 +15,8 @@
 #include "skiptree/validate.hpp"
 
 int main(int argc, char** argv) {
-  lfst::bench::metrics_reporter metrics(argc, argv);
+  lfst::bench::telemetry_reporter telemetry(argc, argv);
   lfst::bench::bench_json_reporter bench_json("node_width", argc, argv);
-  lfst::bench::trace_reporter traces(argc, argv);
   const auto cfg = lfst::bench::bench_config::from_env();
   lfst::bench::print_header("Structural census: node width vs q", cfg);
 

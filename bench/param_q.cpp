@@ -11,8 +11,7 @@
 #include "skiptree/skip_tree.hpp"
 
 int main(int argc, char** argv) {
-  lfst::bench::metrics_reporter metrics(argc, argv);
-  lfst::bench::trace_reporter traces(argc, argv);
+  lfst::bench::telemetry_reporter telemetry(argc, argv);
   using lfst::bench::bench_config;
   using lfst::workload::scenario;
   const bench_config cfg = bench_config::from_env();

@@ -60,7 +60,6 @@
 
 #include "common/align.hpp"
 #include "common/failpoint.hpp"
-#include "common/metrics.hpp"
 #include "common/trace.hpp"
 
 namespace lfst::alloc {
@@ -124,7 +123,6 @@ class pool {
     const std::size_t block = block_size(bytes, align);
     if (block == 0) {  // oversized or overaligned: global heap
       if (tc != nullptr) ++tc->c.fallbacks;
-      LFST_M_COUNT(::lfst::metrics::cid::pool_fallbacks);
       return ::operator new(bytes, std::align_val_t{align});
     }
     const int ci = class_index(block);
@@ -133,7 +131,6 @@ class pool {
       void* p = c->free_lists[ci].back();
       c->free_lists[ci].pop_back();
       ++tc->c.pool_hits;
-      LFST_M_COUNT(::lfst::metrics::cid::pool_hits);
       return p;
     }
     return refill_and_pop(ci, block, c, tc);
@@ -156,7 +153,6 @@ class pool {
     if (c == nullptr) {
       // Thread-local cache already retired (static-destruction-time
       // reclamation); hand the block straight to the shared list.
-      LFST_M_COUNT(::lfst::metrics::cid::pool_foreign_frees);
       size_class& sc = global().classes[ci];
       lock(sc);
       try {
@@ -334,7 +330,6 @@ class pool {
 
   /// Return the entire thread cache to the shared lists (pressure trim).
   static void trim_all(tls_cache& c) noexcept {
-    LFST_M_COUNT(::lfst::metrics::cid::pool_pressure_trims);
     for (int ci = 0; ci < kClasses; ++ci) {
       std::vector<void*>& list = c.free_lists[ci];
       if (list.empty()) continue;
@@ -354,7 +349,6 @@ class pool {
   /// Slow path: the thread cache overflowed; move a batch of blocks back to
   /// the shared list so other threads (and other size users) can have them.
   static void spill(tls_cache& c, int ci) noexcept {
-    LFST_M_COUNT(::lfst::metrics::cid::pool_spills);
     std::vector<void*>& list = c.free_lists[ci];
     const std::size_t keep = list.size() - kBatch;
     size_class& sc = global().classes[ci];
@@ -383,7 +377,6 @@ class pool {
                               tls_counters* tc) {
     LFST_FP_ALLOC("alloc.pool.refill");
     LFST_T_SPAN(::lfst::trace::sid::pool_refill);
-    LFST_M_COUNT(::lfst::metrics::cid::pool_refills);
     size_class& sc = global().classes[ci];
     const std::size_t want = c != nullptr ? kBatch : 1;
     void* out = nullptr;
@@ -435,11 +428,6 @@ class pool {
           ++tc->c.slab_carves;
         }
       }
-      if (reused) {
-        LFST_M_COUNT(::lfst::metrics::cid::pool_hits);
-      } else {
-        LFST_M_COUNT(::lfst::metrics::cid::pool_slab_carves);
-      }
       return out;  // partial batch: the request itself still succeeds
     }
     unlock(sc);
@@ -449,11 +437,6 @@ class pool {
       } else {
         ++tc->c.slab_carves;
       }
-    }
-    if (reused) {
-      LFST_M_COUNT(::lfst::metrics::cid::pool_hits);
-    } else {
-      LFST_M_COUNT(::lfst::metrics::cid::pool_slab_carves);
     }
     return out;
   }

@@ -47,6 +47,27 @@ struct blink_tree_options {
   std::size_t min_node_size = 128;  ///< the paper's M; max node size is 2M
 };
 
+/// Split accounting, one exact per-tree counter each.  Every split is a
+/// root split, a repaired half-split or a half-split left for later (OOM
+/// while growing the parent), so repairs + left == splits - root_splits
+/// once the writers quiesce.
+enum class split_counter : std::uint16_t {
+  splits = 0,          ///< node halves published
+  root_splits,         ///< splits that installed a new root
+  deferred_splits,     ///< splits skipped under OOM (node stays oversized)
+  half_split_repairs,  ///< separators inserted into the parent
+  half_splits_left,    ///< separators abandoned under OOM (link-reachable)
+  kCount
+};
+
+struct split_stats {
+  std::uint64_t splits = 0;
+  std::uint64_t root_splits = 0;
+  std::uint64_t deferred_splits = 0;
+  std::uint64_t half_split_repairs = 0;
+  std::uint64_t half_splits_left = 0;
+};
+
 template <typename T, typename Compare = std::less<T>,
           typename Alloc = lfst::alloc::pool_policy,
           typename Kernel = skiptree::default_search_kernel>
@@ -244,6 +265,12 @@ class blink_tree {
 
   const blink_tree_options& options() const noexcept { return opts_; }
 
+  /// Split counters (relaxed; exact once the writers quiesce).
+  split_stats stats() const noexcept {
+    const auto c = counters_.snapshot();
+    return split_stats{c[0], c[1], c[2], c[3], c[4]};
+  }
+
   /// Height of the tree (leaf = 0); grows only when the root splits.
   int height() const noexcept {
     return root_.load(std::memory_order_acquire)->level;
@@ -422,7 +449,7 @@ class blink_tree {
         }
       } catch (const std::bad_alloc&) {
         n->lock.unlock();
-        LFST_M_COUNT(::lfst::metrics::cid::blink_deferred_splits);
+        counters_.inc(split_counter::deferred_splits);
         return;  // split deferred; n untouched and still valid
       }
       right->has_high = n->has_high;
@@ -438,7 +465,7 @@ class blink_tree {
       n->has_high = true;
       n->high = separator;
       n->lock.unlock();
-      LFST_M_COUNT(::lfst::metrics::cid::blink_splits);
+      counters_.inc(split_counter::splits);
 
       // Insert (separator -> right) into the parent level.
       if (was_root) {
@@ -448,7 +475,7 @@ class blink_tree {
           new_root->children.push_back(n);
           new_root->children.push_back(right);
           root_.store(new_root, std::memory_order_release);
-          LFST_M_COUNT(::lfst::metrics::cid::blink_root_splits);
+          counters_.inc(split_counter::root_splits);
           return;
         }
         // Someone grew the tree first: fall through to the generic path.
@@ -463,7 +490,7 @@ class blink_tree {
         parent->children.reserve(parent->children.size() + 1);
       } catch (const std::bad_alloc&) {
         parent->lock.unlock();
-        LFST_M_COUNT(::lfst::metrics::cid::blink_half_splits_left);
+        counters_.inc(split_counter::half_splits_left);
         return;  // half-split: right stays reachable via n's link
       }
       parent->keys.insert(
@@ -472,7 +499,7 @@ class blink_tree {
       parent->children.insert(
           parent->children.begin() + static_cast<std::ptrdiff_t>(idx) + 1,
           right);
-      LFST_M_COUNT(::lfst::metrics::cid::blink_half_split_repairs);
+      counters_.inc(split_counter::half_split_repairs);
       if (parent->keys.size() <= 2 * opts_.min_node_size) {
         parent->lock.unlock();
         return;
@@ -500,6 +527,8 @@ class blink_tree {
   alignas(kFalseSharingRange) std::atomic<node*> root_{nullptr};
   alignas(kFalseSharingRange) std::atomic<node*> arena_{nullptr};
   alignas(kFalseSharingRange) std::atomic<std::ptrdiff_t> size_{0};
+  alignas(kFalseSharingRange) metrics::instance_counters<split_counter>
+      counters_;
 };
 
 }  // namespace lfst::blinktree

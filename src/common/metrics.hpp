@@ -1,260 +1,28 @@
-// Unified metrics: sharded counters, log2-bucket histograms, event tracing.
+// Exact per-instance counters and the shared time source.
 //
-// The paper evaluates the skip-tree by end-to-end throughput alone, but its
-// lock-free progress argument lives in *internal* events -- CAS retry storms,
-// empty-node bypasses, the four Fig. 8 compaction transforms, EBR epoch lag.
-// This header is the shared instrument for observing those events across all
-// four structures (skip-tree, skip-list, Michael-Harris list, B-link tree)
-// plus the allocator pool and the reclamation domain, with the same zero-cost
-// philosophy as failpoint.hpp: the registry machinery is always compiled (so
-// the tier-1 suite exercises it in every build), but the instrumentation
-// macros threaded through the hot paths compile to nothing unless
-// LFST_METRICS is defined -- no branch, no load, no registry reference.
-//
-// Three primitives:
-//
-//   * Counters.  One process-wide slot per `cid`, sharded over
-//     `kShards` cache-line-padded shard blocks; a thread increments the slot
-//     in its own shard (thread index mod kShards) with a relaxed fetch_add,
-//     so under any realistic thread count writers almost never share a line.
-//     Reads aggregate across shards -- exact after writers quiesce,
-//     approximate (but never torn per-slot) while they run.
-//
-//   * Histograms.  Fixed 65-bucket log2 histograms: value v lands in bucket
-//     bit_width(v), so bucket 0 holds v = 0 and bucket b >= 1 holds
-//     [2^(b-1), 2^b).  Same sharding and memory-order contract as counters.
-//     Exact count and sum ride along for mean computation.
-//
-//   * Event traces.  A fixed-capacity per-thread ring buffer of
-//     (event id, tsc timestamp, payload) records; `push` is three relaxed
-//     stores and a head bump, wraparound overwrites the oldest record.
-//     `drain_trace` merges every thread's ring into one time-ordered dump --
-//     the post-mortem view of "what did the fault schedule actually perturb".
-//
-// Memory-order contract: every hot-path store is relaxed; no metrics access
-// synchronizes with any other. Aggregated values are therefore sums of
-// per-shard relaxed loads: each slot is internally consistent (64-bit atomic),
-// but cross-slot invariants (e.g. hist count == sum of buckets) hold only
-// after the writing threads have joined. Exporters and tests must quiesce
-// first; live dumps are explicitly approximate diagnostics.
-//
-// The per-structure *instance* counters (e.g. skip_tree::structural_stats)
-// are deliberately NOT replaced by this global registry: tests assert exact
-// per-tree event counts, and a process-wide slot cannot give them that.
-// `instance_counters<Enum>` below is the shared implementation both layers
-// use -- a tree keeps its own always-on array, and (under LFST_METRICS) each
-// bump is mirrored into the global registry so cross-structure dumps see it.
+// The paper's lock-free progress argument lives in internal events -- CAS
+// retry storms, empty-node bypasses, the four Fig. 8 compaction transforms.
+// Each structure counts the events it cares about in its own
+// `instance_counters` array: relaxed increments, always on, exact per
+// instance once the writers quiesce.  Tests assert exact per-tree counts,
+// and bench sidecars copy them into their closing counters line
+// (bench/bench_common.hpp).  Time-resolved views of the same events are the
+// span ring's job (common/trace.hpp); latency distributions are the
+// telemetry plane's (common/telemetry.hpp).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string_view>
-#include <vector>
-
-#include "common/align.hpp"
+#include <thread>
+#include <utility>
 
 namespace lfst::metrics {
 
-// --- identifiers -------------------------------------------------------------
-//
-// Adding an id: append to the enum AND to the matching name table; the
-// static_asserts keep the two in lockstep.
-
-/// Process-wide counter ids.  The skiptree_* block mirrors the order of
-/// `skiptree::tree_counter` (detail/core.hpp) so per-instance bumps can be
-/// mirrored with a single static_cast.
-enum class cid : std::uint16_t {
-  skiptree_cas_failures = 0,
-  skiptree_splits,
-  skiptree_root_raises,
-  skiptree_empty_bypasses,
-  skiptree_ref_repairs,
-  skiptree_duplicate_drops,
-  skiptree_migrations,
-  skiptree_alloc_failures,
-  skiptree_compactions_skipped,
-  harris_add_retries,
-  harris_remove_retries,
-  harris_physical_removals,
-  skiplist_add_retries,
-  skiplist_remove_retries,
-  skiplist_physical_unlinks,
-  blink_splits,
-  blink_root_splits,
-  blink_deferred_splits,
-  blink_half_split_repairs,
-  blink_half_splits_left,
-  pool_refills,
-  pool_spills,
-  pool_foreign_frees,
-  pool_hits,
-  pool_slab_carves,
-  pool_fallbacks,
-  ebr_retires,
-  ebr_advances,
-  ebr_advance_stalls,
-  ebr_stalls_detected,
-  ebr_self_evictions,
-  ebr_quarantines,
-  ebr_limbo_handoffs,
-  ebr_cap_deferrals,
-  ebr_escape_frees,
-  pool_pressure_trims,
-  storage_wal_appends,
-  storage_wal_bytes,
-  storage_wal_fsyncs,
-  storage_wal_rotations,
-  storage_checkpoints,
-  storage_replay_records,
-  kCount
-};
-
-inline constexpr std::string_view kCounterNames[] = {
-    "skiptree.cas_failures",
-    "skiptree.splits",
-    "skiptree.root_raises",
-    "skiptree.empty_bypasses",
-    "skiptree.ref_repairs",
-    "skiptree.duplicate_drops",
-    "skiptree.migrations",
-    "skiptree.alloc_failures",
-    "skiptree.compactions_skipped",
-    "harris.add_retries",
-    "harris.remove_retries",
-    "harris.physical_removals",
-    "skiplist.add_retries",
-    "skiplist.remove_retries",
-    "skiplist.physical_unlinks",
-    "blink.splits",
-    "blink.root_splits",
-    "blink.deferred_splits",
-    "blink.half_split_repairs",
-    "blink.half_splits_left",
-    "pool.refills",
-    "pool.spills",
-    "pool.foreign_frees",
-    "pool.hits",
-    "pool.slab_carves",
-    "pool.fallbacks",
-    "ebr.retires",
-    "ebr.advances",
-    "ebr.advance_stalls",
-    "ebr.stalls_detected",
-    "ebr.self_evictions",
-    "ebr.quarantines",
-    "ebr.limbo_handoffs",
-    "ebr.cap_deferrals",
-    "ebr.escape_frees",
-    "pool.pressure_trims",
-    "storage.wal.appends",
-    "storage.wal.bytes",
-    "storage.wal.fsyncs",
-    "storage.wal.rotations",
-    "storage.checkpoints",
-    "storage.replay.records",
-};
-static_assert(sizeof(kCounterNames) / sizeof(kCounterNames[0]) ==
-              static_cast<std::size_t>(cid::kCount));
-
-/// Histogram ids (log2 buckets).
-enum class hid : std::uint16_t {
-  skiptree_cas_retries_per_op = 0,  ///< failed CASes per mutation attempt
-  skiptree_traversal_depth,         ///< level steps + link hops per descent
-  ebr_advance_ticks,                ///< tsc between successful epoch advances
-  ebr_limbo_depth,                  ///< retire-queue depth at each retire()
-  skiptree_health_backlog,          ///< empty nodes + suboptimal refs per probe
-  skiptree_health_occupancy_pct,    ///< avg node fill vs 1/q ideal, percent
-  ebr_stall_age_ticks,              ///< tsc age of a stalled slot at detection
-  storage_fsync_ticks,              ///< tsc per WAL fsync (group-commit cost)
-  storage_commit_batch,             ///< records made durable per fsync batch
-  kCount
-};
-
-inline constexpr std::string_view kHistNames[] = {
-    "skiptree.cas_retries_per_op",
-    "skiptree.traversal_depth",
-    "ebr.advance_ticks",
-    "ebr.limbo_depth",
-    "skiptree.health_backlog",
-    "skiptree.health_occupancy_pct",
-    "ebr.stall_age_ticks",
-    "storage.wal.fsync_ticks",
-    "storage.wal.commit_batch",
-};
-static_assert(sizeof(kHistNames) / sizeof(kHistNames[0]) ==
-              static_cast<std::size_t>(hid::kCount));
-
-/// Trace event ids.
-enum class eid : std::uint16_t {
-  skiptree_split = 0,
-  skiptree_root_raise,
-  skiptree_compact_8a,
-  skiptree_compact_8b,
-  skiptree_compact_8c,
-  skiptree_compact_8d,
-  ebr_advance,
-  skiptree_health_probe,
-  ebr_stall,
-  ebr_quarantine,
-  kCount
-};
-
-inline constexpr std::string_view kEventNames[] = {
-    "skiptree.split",
-    "skiptree.root_raise",
-    "skiptree.compact_8a",
-    "skiptree.compact_8b",
-    "skiptree.compact_8c",
-    "skiptree.compact_8d",
-    "ebr.advance",
-    "skiptree.health_probe",
-    "ebr.stall",
-    "ebr.quarantine",
-};
-static_assert(sizeof(kEventNames) / sizeof(kEventNames[0]) ==
-              static_cast<std::size_t>(eid::kCount));
-
-/// Gauge ids: single process-wide values updated by CAS-max (high-watermarks).
-/// Unlike counters these are not sharded -- updates are rare (watchdog ticks,
-/// cap events), and a watermark must be a single monotone cell to be exact.
-enum class gid : std::uint16_t {
-  ebr_limbo_bytes_hwm = 0,   ///< peak domain-wide retired-bytes in limbo
-  ebr_overflow_bytes_hwm,    ///< peak bytes parked on the domain overflow list
-  kCount
-};
-
-inline constexpr std::string_view kGaugeNames[] = {
-    "ebr.limbo_bytes_hwm",
-    "ebr.overflow_bytes_hwm",
-};
-static_assert(sizeof(kGaugeNames) / sizeof(kGaugeNames[0]) ==
-              static_cast<std::size_t>(gid::kCount));
-
-constexpr std::string_view counter_name(cid id) noexcept {
-  return kCounterNames[static_cast<std::size_t>(id)];
-}
-constexpr std::string_view hist_name(hid id) noexcept {
-  return kHistNames[static_cast<std::size_t>(id)];
-}
-constexpr std::string_view event_name(eid id) noexcept {
-  return kEventNames[static_cast<std::size_t>(id)];
-}
-constexpr std::string_view gauge_name(gid id) noexcept {
-  return kGaugeNames[static_cast<std::size_t>(id)];
-}
-
-// --- time source -------------------------------------------------------------
-
-/// Cheap monotonic-enough timestamp for trace records and latency deltas:
-/// the time-stamp counter on x86 (one instruction, no serialization -- trace
+/// Cheap monotonic-enough timestamp for spans and latency deltas: the
+/// time-stamp counter on x86 (one instruction, no serialization -- span
 /// ordering across cores is best-effort by design), steady_clock elsewhere.
 inline std::uint64_t tsc_now() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -265,389 +33,25 @@ inline std::uint64_t tsc_now() noexcept {
 #endif
 }
 
-// --- histogram ---------------------------------------------------------------
-
-/// Log2-bucket histogram: value v lands in bucket std::bit_width(v).
-/// Bucket 0 is exactly v = 0; bucket b >= 1 covers [2^(b-1), 2^b).
-class log2_histogram {
- public:
-  static constexpr int kBuckets = 65;  // bit_width of a uint64_t is 0..64
-
-  void record(std::uint64_t v) noexcept {
-    buckets_[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-  }
-
-  std::uint64_t bucket(int b) const noexcept {
-    return buckets_[static_cast<std::size_t>(b)].load(
-        std::memory_order_relaxed);
-  }
-  std::uint64_t sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-
-  void reset() noexcept {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-  }
-
-  /// Inclusive lower bound of bucket `b` (0 for buckets 0 and 1).
-  static constexpr std::uint64_t bucket_lo(int b) noexcept {
-    return b <= 1 ? 0 : std::uint64_t{1} << (b - 1);
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> sum_{0};
-};
-
-// --- snapshots ---------------------------------------------------------------
-
-/// Aggregated view of one histogram.  `buckets[b]` counts values with
-/// bit_width b; `count` is the bucket total; `sum` the exact value total.
-struct hist_snapshot {
-  std::string_view name;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::array<std::uint64_t, log2_histogram::kBuckets> buckets{};
-
-  double mean() const noexcept {
-    return count == 0
-               ? 0.0
-               : static_cast<double>(sum) / static_cast<double>(count);
-  }
-
-  /// Approximate percentile: the upper bound of the first bucket whose
-  /// cumulative count reaches p * count (log2 resolution by construction).
-  double approx_percentile(double p) const noexcept {
-    if (count == 0) return 0.0;
-    const double target = p * static_cast<double>(count);
-    std::uint64_t cum = 0;
-    for (int b = 0; b < log2_histogram::kBuckets; ++b) {
-      cum += buckets[static_cast<std::size_t>(b)];
-      if (static_cast<double>(cum) >= target) {
-        return b == 0 ? 0.0 : std::ldexp(1.0, b) - 1.0;
-      }
+/// Measured tsc ticks per microsecond: the tsc advance over the wall-clock
+/// time elapsed since a process-wide anchor taken on first use.  Waits
+/// until the anchor is at least 500 us old so the quotient is stable;
+/// call it from export and slow paths only.  On non-x86 builds tsc_now()
+/// is steady_clock nanoseconds and this converges to 1000.
+inline double ticks_per_us() noexcept {
+  using clock = std::chrono::steady_clock;
+  static const std::pair<clock::time_point, std::uint64_t> anchor{
+      clock::now(), tsc_now()};
+  for (;;) {
+    const double us = std::chrono::duration<double, std::micro>(
+                          clock::now() - anchor.first)
+                          .count();
+    if (us >= 500.0) {
+      return static_cast<double>(tsc_now() - anchor.second) / us;
     }
-    return std::ldexp(1.0, log2_histogram::kBuckets - 1);
+    std::this_thread::yield();
   }
-};
-
-struct counter_snapshot {
-  std::string_view name;
-  std::uint64_t value = 0;
-};
-
-struct gauge_snapshot {
-  std::string_view name;
-  std::uint64_t value = 0;
-};
-
-/// One drained trace record, annotated with its source thread.
-struct trace_record {
-  eid id{};
-  std::uint64_t tsc = 0;
-  std::uint64_t payload = 0;
-  std::uint64_t thread = 0;  ///< metrics thread index of the recording thread
-};
-
-/// Everything the exporters consume: counters + histograms aggregated over
-/// all shards (events are drained separately; they are bulkier).
-struct metrics_snapshot {
-  std::vector<counter_snapshot> counters;
-  std::vector<hist_snapshot> histograms;
-  std::vector<gauge_snapshot> gauges;
-
-  std::uint64_t counter(cid id) const noexcept {
-    return counters[static_cast<std::size_t>(id)].value;
-  }
-  const hist_snapshot& histogram(hid id) const noexcept {
-    return histograms[static_cast<std::size_t>(id)];
-  }
-  std::uint64_t gauge(gid id) const noexcept {
-    return gauges[static_cast<std::size_t>(id)].value;
-  }
-};
-
-// --- per-thread event-trace ring ---------------------------------------------
-
-/// Fixed-capacity ring of trace events, written by exactly one thread at a
-/// time (rings are recycled across threads, never shared concurrently).  All
-/// fields are relaxed atomics so a concurrent drain reads torn *records* at
-/// worst, never undefined behavior; exact dumps require quiescence, like
-/// every other read in this header.
-class trace_ring {
- public:
-  static constexpr std::size_t kCapacity = 1024;
-
-  void push(eid id, std::uint64_t tsc, std::uint64_t payload) noexcept {
-    const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    slot& s = slots_[h % kCapacity];
-    s.id.store(static_cast<std::uint16_t>(id), std::memory_order_relaxed);
-    s.tsc.store(tsc, std::memory_order_relaxed);
-    s.payload.store(payload, std::memory_order_relaxed);
-    head_.store(h + 1, std::memory_order_release);
-  }
-
-  /// Append the ring's surviving records (oldest first) to `out`.
-  void drain_into(std::vector<trace_record>& out,
-                  std::uint64_t thread) const {
-    const std::uint64_t h = head_.load(std::memory_order_acquire);
-    const std::uint64_t n = h < kCapacity ? h : kCapacity;
-    for (std::uint64_t i = h - n; i < h; ++i) {
-      const slot& s = slots_[i % kCapacity];
-      out.push_back(trace_record{
-          static_cast<eid>(s.id.load(std::memory_order_relaxed)),
-          s.tsc.load(std::memory_order_relaxed),
-          s.payload.load(std::memory_order_relaxed), thread});
-    }
-  }
-
-  /// Monotone number of records ever pushed (wraparound does not reset it).
-  std::uint64_t pushed() const noexcept {
-    return head_.load(std::memory_order_relaxed);
-  }
-
-  void reset() noexcept { head_.store(0, std::memory_order_relaxed); }
-
- private:
-  struct slot {
-    std::atomic<std::uint16_t> id{0};
-    std::atomic<std::uint64_t> tsc{0};
-    std::atomic<std::uint64_t> payload{0};
-  };
-  std::atomic<std::uint64_t> head_{0};
-  std::array<slot, kCapacity> slots_{};
-};
-
-// --- leased per-thread ring pool ---------------------------------------------
-
-/// Owner of a growable set of per-thread rings, leased on first use and
-/// returned (contents intact, hence still drainable) when the thread exits.
-/// A dead thread's ring is recycled by the next fresh lease with its
-/// contents preserved: the records already in it were really pushed and
-/// drains attribute them to the same ring index either way, so wiping
-/// would only lose data (a short-lived thread's entire output, when its
-/// ring is re-leased before anyone drains).  The newcomer simply appends
-/// after the old owner's tail; only an explicit reset() clears rings.
-///
-/// The lease lives in a `thread_local` inside `my_ring()`, which is ONE slot
-/// per template instantiation, not per pool object: a `ring_pool<R>` must
-/// therefore be owned by exactly one (singleton) object per ring type R.
-/// Both in-tree owners -- the metrics registry (trace_ring) and the span
-/// trace registry (trace.hpp, span_ring) -- are leaky singletons.
-template <typename Ring>
-class ring_pool {
- public:
-  ring_pool() = default;
-  ring_pool(const ring_pool&) = delete;
-  ring_pool& operator=(const ring_pool&) = delete;
-
-  /// The calling thread's leased ring (acquired on first call).
-  Ring& my_ring() {
-    thread_local ring_lease lease;
-    if (lease.ring == nullptr) lease.ring = &acquire_ring();
-    return lease.ring->ring;
-  }
-
-  /// Locked iteration over every ring ever leased, alive or not, with its
-  /// stable pool index (the "thread id" exposed by drains).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    std::lock_guard<std::mutex> g(mu_);
-    for (std::size_t i = 0; i < rings_.size(); ++i) {
-      fn(static_cast<const Ring&>(rings_[i]->ring), i);
-    }
-  }
-
-  /// Reset every ring (caller must quiesce, as with all metrics reads).
-  void reset() {
-    std::lock_guard<std::mutex> g(mu_);
-    for (const auto& r : rings_) r->ring.reset();
-  }
-
- private:
-  struct owned_ring {
-    Ring ring;
-    std::atomic<bool> leased{false};
-  };
-
-  struct ring_lease {
-    owned_ring* ring = nullptr;
-    ~ring_lease() {
-      if (ring != nullptr)
-        ring->leased.store(false, std::memory_order_release);
-    }
-  };
-
-  owned_ring& acquire_ring() {
-    std::lock_guard<std::mutex> g(mu_);
-    for (const auto& r : rings_) {
-      bool expected = false;
-      if (r->leased.compare_exchange_strong(expected, true,
-                                            std::memory_order_acq_rel)) {
-        return *r;  // contents preserved: see class comment
-      }
-    }
-    rings_.push_back(std::make_unique<owned_ring>());
-    rings_.back()->leased.store(true, std::memory_order_relaxed);
-    return *rings_.back();
-  }
-
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<owned_ring>> rings_;
-};
-
-// --- registry ----------------------------------------------------------------
-
-/// Process-wide metrics registry: a leaky singleton (like the failpoint
-/// registry and the allocator pool) so metrics stay usable from
-/// static-destruction-time code.  Counter/histogram state is statically
-/// sized; trace rings are allocated per thread on first trace and recycled
-/// when threads exit.
-class registry {
- public:
-  static constexpr std::size_t kShards = 16;
-
-  static registry& instance() {
-    static registry* r = new registry;
-    return *r;
-  }
-
-  // --- hot path (relaxed, sharded) ------------------------------------------
-
-  void count(cid id) noexcept { add(id, 1); }
-
-  void add(cid id, std::uint64_t n) noexcept {
-    shards_[shard_index()].counters[static_cast<std::size_t>(id)].fetch_add(
-        n, std::memory_order_relaxed);
-  }
-
-  void record(hid id, std::uint64_t v) noexcept {
-    shards_[shard_index()].hists[static_cast<std::size_t>(id)].record(v);
-  }
-
-  void trace(eid id, std::uint64_t payload) noexcept {
-    rings_.my_ring().push(id, tsc_now(), payload);
-  }
-
-  /// Raise a high-watermark gauge to `v` if it is below it (CAS-max).
-  void gauge_max(gid id, std::uint64_t v) noexcept {
-    std::atomic<std::uint64_t>& g = gauges_[static_cast<std::size_t>(id)];
-    std::uint64_t cur = g.load(std::memory_order_relaxed);
-    while (cur < v &&
-           !g.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  // --- aggregation (quiesce for exactness) ----------------------------------
-
-  std::uint64_t counter(cid id) const noexcept {
-    std::uint64_t total = 0;
-    for (const shard& s : shards_) {
-      total += s.counters[static_cast<std::size_t>(id)].load(
-          std::memory_order_relaxed);
-    }
-    return total;
-  }
-
-  std::uint64_t gauge(gid id) const noexcept {
-    return gauges_[static_cast<std::size_t>(id)].load(
-        std::memory_order_relaxed);
-  }
-
-  hist_snapshot histogram(hid id) const {
-    hist_snapshot out;
-    out.name = hist_name(id);
-    for (const shard& s : shards_) {
-      const log2_histogram& h = s.hists[static_cast<std::size_t>(id)];
-      out.sum += h.sum();
-      for (int b = 0; b < log2_histogram::kBuckets; ++b) {
-        out.buckets[static_cast<std::size_t>(b)] += h.bucket(b);
-      }
-    }
-    for (std::uint64_t b : out.buckets) out.count += b;
-    return out;
-  }
-
-  metrics_snapshot aggregate() const {
-    metrics_snapshot snap;
-    snap.counters.reserve(static_cast<std::size_t>(cid::kCount));
-    for (std::size_t i = 0; i < static_cast<std::size_t>(cid::kCount); ++i) {
-      const cid id = static_cast<cid>(i);
-      snap.counters.push_back(counter_snapshot{counter_name(id), counter(id)});
-    }
-    snap.histograms.reserve(static_cast<std::size_t>(hid::kCount));
-    for (std::size_t i = 0; i < static_cast<std::size_t>(hid::kCount); ++i) {
-      snap.histograms.push_back(histogram(static_cast<hid>(i)));
-    }
-    snap.gauges.reserve(static_cast<std::size_t>(gid::kCount));
-    for (std::size_t i = 0; i < static_cast<std::size_t>(gid::kCount); ++i) {
-      const gid id = static_cast<gid>(i);
-      snap.gauges.push_back(gauge_snapshot{gauge_name(id), gauge(id)});
-    }
-    return snap;
-  }
-
-  /// Merge every thread's trace ring into one tsc-ordered dump.
-  std::vector<trace_record> drain_trace() const {
-    std::vector<trace_record> out;
-    rings_.for_each([&out](const trace_ring& r, std::size_t i) {
-      r.drain_into(out, i);
-    });
-    std::stable_sort(out.begin(), out.end(),
-                     [](const trace_record& a, const trace_record& b) {
-                       return a.tsc < b.tsc;
-                     });
-    return out;
-  }
-
-  /// Zero every counter, histogram and trace ring.  Caller must quiesce:
-  /// concurrent increments may land on either side of the wipe.
-  void reset() {
-    for (shard& s : shards_) {
-      for (auto& c : s.counters) c.store(0, std::memory_order_relaxed);
-      for (auto& h : s.hists) h.reset();
-    }
-    for (auto& g : gauges_) g.store(0, std::memory_order_relaxed);
-    rings_.reset();
-  }
-
- private:
-  registry() = default;
-
-  struct alignas(kFalseSharingRange) shard {
-    std::array<std::atomic<std::uint64_t>,
-               static_cast<std::size_t>(cid::kCount)>
-        counters{};
-    std::array<log2_histogram, static_cast<std::size_t>(hid::kCount)> hists{};
-  };
-
-  /// Stable small integer per thread, assigned on first use (same scheme as
-  /// the failpoint registry's thread gate).
-  static std::uint64_t thread_index() noexcept {
-    static std::atomic<std::uint64_t> counter{0};
-    thread_local const std::uint64_t idx =
-        counter.fetch_add(1, std::memory_order_relaxed);
-    return idx;
-  }
-
-  static std::size_t shard_index() noexcept {
-    thread_local const std::size_t shard =
-        static_cast<std::size_t>(thread_index() % kShards);
-    return shard;
-  }
-
-  shard shards_[kShards];
-  // High-watermark gauges: unsharded, CAS-max only (see gauge_max).
-  std::array<std::atomic<std::uint64_t>, static_cast<std::size_t>(gid::kCount)>
-      gauges_{};
-  // Event-trace rings, leased per thread (see ring_pool; this registry is
-  // the singleton owner of the trace_ring instantiation).
-  mutable ring_pool<trace_ring> rings_;
-};
-
-// --- always-on per-instance counters -----------------------------------------
+}
 
 /// Enum-indexed relaxed counter array: the implementation behind each
 /// structure's own cheap always-on counters (e.g. the skip-tree's
@@ -678,46 +82,3 @@ class instance_counters {
 };
 
 }  // namespace lfst::metrics
-
-// --- instrumentation macros --------------------------------------------------
-//
-// All hot-path instrumentation goes through these; they compile to nothing
-// without LFST_METRICS (arguments are discarded textually, so even the
-// expressions computing them must be built with the TALLY macros below).
-
-#if defined(LFST_METRICS)
-
-/// Bump a process-wide counter by one / by `n`.
-#define LFST_M_COUNT(id_) (::lfst::metrics::registry::instance().count(id_))
-#define LFST_M_ADD(id_, n_) \
-  (::lfst::metrics::registry::instance().add(id_, (n_)))
-
-/// Record one histogram sample.
-#define LFST_M_HIST(id_, v_) \
-  (::lfst::metrics::registry::instance().record(id_, (v_)))
-
-/// Record one trace event in the calling thread's ring.
-#define LFST_M_TRACE(id_, payload_) \
-  (::lfst::metrics::registry::instance().trace(id_, (payload_)))
-
-/// Raise a high-watermark gauge (CAS-max; no-op if already higher).
-#define LFST_M_GAUGE_MAX(id_, v_) \
-  (::lfst::metrics::registry::instance().gauge_max(id_, (v_)))
-
-/// Local tally for per-operation histograms: declare, bump inside retry
-/// loops, record once per operation with LFST_M_HIST.  The variable does not
-/// exist at all in non-metrics builds.
-#define LFST_M_TALLY(var_) std::uint64_t var_ = 0
-#define LFST_M_TALLY_INC(var_) (++(var_))
-
-#else  // !LFST_METRICS: every macro compiles to nothing.
-
-#define LFST_M_COUNT(id_) ((void)0)
-#define LFST_M_ADD(id_, n_) ((void)0)
-#define LFST_M_HIST(id_, v_) ((void)0)
-#define LFST_M_TRACE(id_, payload_) ((void)0)
-#define LFST_M_GAUGE_MAX(id_, v_) ((void)0)
-#define LFST_M_TALLY(var_) ((void)0)
-#define LFST_M_TALLY_INC(var_) ((void)0)
-
-#endif  // LFST_METRICS

@@ -15,15 +15,13 @@
 //
 // 64-bit values fit in 16 * 61 = 976 buckets (~7.6 KiB of counters).
 //
-// Concurrency follows the metrics registry idiom (common/metrics.hpp):
-// writers pick one of kShards cache-line-padded shards by a per-thread
-// index and fetch_add with relaxed ordering -- no CAS loop, no fence, no
+// Concurrency: writers pick one of kShards cache-line-padded shards by a
+// per-thread index and fetch_add with relaxed ordering -- no CAS loop, no fence, no
 // contention between threads on different shards.  Readers merge all
 // shards into a plain `qsketch_snapshot`, which supports further merging
 // (cross-thread / cross-process aggregation) and quantile queries.
-// Snapshots taken while writers are active are "fuzzy" in the same way the
-// metrics snapshots are: each counter is individually atomic, the set is
-// not -- fine for telemetry, which only ever samples a moving system.
+// Snapshots taken while writers are active are "fuzzy": each counter is
+// individually atomic, the set is not -- fine for telemetry, which only ever samples a moving system.
 #pragma once
 
 #include <array>
@@ -118,7 +116,7 @@ class qsketch {
         1, std::memory_order_relaxed);
     s.count.fetch_add(1, std::memory_order_relaxed);
     s.sum.fetch_add(v, std::memory_order_relaxed);
-    // CAS-max, same idiom as the metrics gauges: racy losers retry only
+    // CAS-max: racy losers retry only
     // while their value is still the larger one.
     std::uint64_t cur = max_.load(std::memory_order_relaxed);
     while (v > cur &&

@@ -1,14 +1,14 @@
-// Continuous telemetry plane: always-on runtime snapshots.
+// Telemetry plane: always-on latency sketches, gauge sources and a
+// snapshot ring.
 //
-// The metrics (PR 3) and trace (PR 4) layers compile out of release
-// builds; the ROADMAP's "production-scale system" needs observability
-// that is ON by default and cheap enough to stay on.  This header is that
-// plane:
+// Exact counts live in each structure's instance counters (metrics.hpp)
+// and the time-resolved view in the span ring (trace.hpp).  This plane is
+// the part of the instrumentation that is ON in every build:
 //
-//   - a small set of always-allocated quantile sketches (qsketch.hpp)
-//     recording per-op latency for add/remove/contains and the storage
-//     paths (WAL commit = append -> fsync-ack, raw fsync, commit batch
-//     size, checkpoint duration);
+//   - a small set of always-allocated quantile sketches (qsketch.hpp, the
+//     repo's only histogram type) recording per-op latency for
+//     add/remove/contains and the storage paths (WAL commit = append ->
+//     fsync-ack, raw fsync, commit batch size, checkpoint duration);
 //   - a registry of named gauge SOURCES (WAL flusher lag, reclaim
 //     watchdog stall/limbo gauges, anything a subsystem wants sampled)
 //     that a background aggregator polls;
@@ -16,24 +16,17 @@
 //     aggregator fills one fixed-size slot (all source gauges + sketch
 //     quantiles) under a per-slot seqlock, so exporters can read a
 //     consistent sample while the aggregator keeps writing;
-//   - exporters: JSON-lines (schema line + one line per sample + one
-//     summary line per sketch) and Prometheus-style text exposition of
-//     the latest sample.
+//   - a JSON-lines exporter (schema line + one line per sample + one
+//     summary line per sketch), the body of the bench sidecar
+//     (bench/bench_common.hpp) that tools/telemetry_report.py reads.
 //
-// Cost model.  The plane itself (singleton, ~0.5 MiB of counters) is
-// always compiled; the HOT-PATH hooks are gated behind -DLFST_TELEMETRY
-// (a CMake option, default ON) so the <= 2% overhead budget can be A/B
-// verified against a compiled-out build.  Per-op timing uses 1-in-N
-// sampling (LFST_TELEMETRY_SAMPLE, default 64): the unsampled path is one
-// thread-local decrement and branch, the sampled path two rdtsc reads and
-// one relaxed sketch record.  Low-rate paths (fsync, checkpoint) record
-// unsampled.
+// Cost model.  Per-op timing samples one op in kSampleStride (64) per
+// thread: the unsampled path is one thread-local decrement and branch, the
+// sampled path two rdtsc reads and one relaxed sketch record.  Low-rate
+// paths (fsync, checkpoint) record unsampled.  The hooks are unconditional.
 //
 // Time base: sketches store raw tsc ticks (metrics::tsc_now()); exporters
-// convert to microseconds with a wall-clock calibration anchored at plane
-// construction (same scheme as reclaim/watchdog.hpp).  On non-x86 builds
-// tsc_now() is steady_clock nanoseconds and the calibration converges to
-// 1000 ticks/us automatically.
+// convert to microseconds with the process-wide metrics::ticks_per_us().
 #pragma once
 
 #include <array>
@@ -43,7 +36,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
+#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -56,7 +49,6 @@
 #include <vector>
 
 #include "common/metrics.hpp"
-#include "common/metrics_export.hpp"
 #include "common/qsketch.hpp"
 
 namespace lfst::telemetry {
@@ -99,19 +91,40 @@ inline constexpr std::array<sk_unit, kSketchCount> kSketchUnits = {
 static_assert(kSketchNames.size() == kSketchCount);
 static_assert(kSketchUnits.size() == kSketchCount);
 
-/// 1-in-N op sampling stride, env-overridable (clamped to [1, 2^20]).
-inline unsigned sample_stride() noexcept {
-  static const unsigned stride = [] {
-    if (const char* e = std::getenv("LFST_TELEMETRY_SAMPLE")) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(e, &end, 10);
-      if (end != e && v >= 1 && v <= (1ul << 20)) {
-        return static_cast<unsigned>(v);
-      }
+/// 1-in-N op sampling stride of the per-op latency hooks.
+inline constexpr unsigned kSampleStride = 64;
+
+/// Snapshot cadence of the background aggregator the bench sidecar runs.
+inline constexpr std::chrono::milliseconds kSnapshotInterval{50};
+
+/// Escape `s` for use inside a JSON string literal: quote, backslash, and
+/// control characters per RFC 8259.  Series names come from subsystems and
+/// bench labels, so the exporters must not emit broken JSON the day one
+/// carries a quote.
+inline std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
     }
-    return 64u;
-  }();
-  return stride;
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -127,8 +140,8 @@ class plane {
   static constexpr std::size_t kMaxSeries = 192;
   static constexpr std::size_t kRingCapacity = 256;
 
-  /// Leaky singleton, same rationale as the metrics registry: telemetry
-  /// must outlive every thread that might record into it at exit.
+  /// Leaky singleton, like the trace registry: telemetry must outlive
+  /// every thread that might record into it at exit.
   static plane& instance() {
     static plane* p = new plane();
     return *p;
@@ -142,23 +155,6 @@ class plane {
 
   qsketch_snapshot sketch(skid id) const noexcept {
     return sketches_[static_cast<std::size_t>(id)].snapshot();
-  }
-
-  /// Ticks-per-microsecond calibration.  Anchored at plane construction;
-  /// spins out to a 500us baseline if queried immediately (export paths
-  /// only, never hot).
-  double ticks_per_us() const noexcept {
-    using clock = std::chrono::steady_clock;
-    for (;;) {
-      const auto now = clock::now();
-      const double us = std::chrono::duration<double, std::micro>(
-                            now - wall0_)
-                            .count();
-      if (us >= 500.0) {
-        return static_cast<double>(metrics::tsc_now() - tsc0_) / us;
-      }
-      std::this_thread::yield();
-    }
   }
 
   // --- gauge sources ------------------------------------------------------
@@ -201,7 +197,7 @@ class plane {
     staging.fill(std::numeric_limits<double>::quiet_NaN());
 
     // Sketch-derived columns.
-    const double tpu = ticks_per_us();
+    const double tpu = metrics::ticks_per_us();
     for (std::size_t i = 0; i < kSketchCount; ++i) {
       const qsketch_snapshot s = sketches_[i].snapshot();
       const double div = kSketchUnits[i] == sk_unit::ticks ? tpu : 1.0;
@@ -333,13 +329,13 @@ class plane {
   /// non-NaN values), one summary line per sketch.
   std::string to_json_lines() const {
     std::ostringstream os;
-    const double tpu = ticks_per_us();
+    const double tpu = metrics::ticks_per_us();
     const std::vector<std::string> names = series_names();
     os << "{\"type\":\"telemetry_schema\",\"ticks_per_us\":" << tpu
-       << ",\"sample_stride\":" << sample_stride() << ",\"series\":[";
+       << ",\"sample_stride\":" << kSampleStride << ",\"series\":[";
     for (std::size_t i = 0; i < names.size(); ++i) {
       if (i) os << ",";
-      os << "\"" << metrics::json_escape(names[i]) << "\"";
+      os << "\"" << json_escape(names[i]) << "\"";
     }
     os << "]}\n";
 
@@ -351,7 +347,7 @@ class plane {
         if (std::isnan(v.values[c])) continue;
         if (!first) os << ",";
         first = false;
-        os << "\"" << metrics::json_escape(names[c])
+        os << "\"" << json_escape(names[c])
            << "\":" << v.values[c];
       }
       os << "}}\n";
@@ -370,42 +366,6 @@ class plane {
          << "\":" << s.quantile(0.999) / div << ",\"max" << sfx
          << "\":" << static_cast<double>(s.max) / div << ",\"mean" << sfx
          << "\":" << s.mean() / div << "}\n";
-    }
-    return os.str();
-  }
-
-  /// Prometheus-style text exposition: each sketch as a summary family,
-  /// plus every series of the LATEST sample as a gauge.
-  std::string to_prometheus() const {
-    std::ostringstream os;
-    const double tpu = ticks_per_us();
-    for (std::size_t i = 0; i < kSketchCount; ++i) {
-      const qsketch_snapshot s = sketches_[i].snapshot();
-      const bool us = kSketchUnits[i] == sk_unit::ticks;
-      const double div = us ? tpu : 1.0;
-      const std::string fam =
-          "lfst_" + sanitize(kSketchNames[i]) + (us ? "_us" : "");
-      os << "# TYPE " << fam << " summary\n";
-      static constexpr std::pair<double, const char*> kQuantiles[] = {
-          {0.50, "0.5"}, {0.90, "0.9"}, {0.99, "0.99"}, {0.999, "0.999"}};
-      for (const auto& [q, label] : kQuantiles) {
-        os << fam << "{quantile=\"" << label
-           << "\"} " << s.quantile(q) / div << "\n";
-      }
-      os << fam << "_count " << s.count << "\n";
-      os << fam << "_sum " << static_cast<double>(s.sum) / div << "\n";
-    }
-
-    const std::vector<sample_view> samples = read_samples();
-    const std::vector<std::string> names = series_names();
-    if (!samples.empty()) {
-      const sample_view& last = samples.back();
-      for (std::size_t c = 0; c < names.size() && c < kMaxSeries; ++c) {
-        if (std::isnan(last.values[c])) continue;
-        os << "# TYPE lfst_" << sanitize(names[c]) << " gauge\n";
-        os << "lfst_" << sanitize(names[c]) << " " << last.values[c]
-           << "\n";
-      }
     }
     return os.str();
   }
@@ -429,8 +389,7 @@ class plane {
 
  private:
   plane()
-      : wall0_(std::chrono::steady_clock::now()),
-        tsc0_(metrics::tsc_now()) {
+      : wall0_(std::chrono::steady_clock::now()) {
     // Reserve the sketch-derived columns up front so they occupy the first
     // schema positions in every export.
     std::lock_guard<std::mutex> lk(sources_mu_);
@@ -447,17 +406,6 @@ class plane {
           column_for_locked(base + ".max" + sfx),
       };
     }
-  }
-
-  static std::string sanitize(std::string_view name) {
-    std::string out;
-    out.reserve(name.size());
-    for (char c : name) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9');
-      out.push_back(ok ? c : '_');
-    }
-    return out;
   }
 
   /// Column for `name`, allocating if new.  Requires sources_mu_ held.
@@ -504,8 +452,7 @@ class plane {
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
 
-  const std::chrono::steady_clock::time_point wall0_;
-  const std::uint64_t tsc0_;
+  const std::chrono::steady_clock::time_point wall0_;  // sample t_ms origin
 };
 
 // ---------------------------------------------------------------------------
@@ -573,7 +520,7 @@ class op_timer {
  private:
   [[gnu::noinline, gnu::cold]] void arm(skid id,
                                         unsigned& countdown) noexcept {
-    countdown = sample_stride();
+    countdown = kSampleStride;
     id_ = id;
     t0_ = metrics::tsc_now();
   }
@@ -588,26 +535,10 @@ class op_timer {
 }  // namespace lfst::telemetry
 
 // ---------------------------------------------------------------------------
-// Hot-path hook macros.  The plane machinery above is always compiled (so
-// tests and exporters exist in every configuration); these hooks -- the
-// only code on operation hot paths -- compile to nothing without
-// -DLFST_TELEMETRY, which is how the overhead A/B is measured.
+// Hot-path hook macros: the only telemetry code on operation hot paths.
 // ---------------------------------------------------------------------------
-
-#if defined(LFST_TELEMETRY)
 
 #define LFST_TEL_OP(id_) \
   ::lfst::telemetry::op_timer lfst_tel_op_timer__ { (id_) }
 #define LFST_TEL_RECORD(id_, value_) \
   ::lfst::telemetry::plane::instance().record((id_), (value_))
-
-#else  // !LFST_TELEMETRY
-
-#define LFST_TEL_OP(id_) \
-  do {                   \
-  } while (false)
-#define LFST_TEL_RECORD(id_, value_) \
-  do {                               \
-  } while (false)
-
-#endif  // LFST_TELEMETRY

@@ -1,20 +1,25 @@
-// Per-operation span tracing: scoped RAII spans over the hot paths.
+// Span tracing: scoped RAII spans and zero-length event spans over the hot
+// paths, recorded into one leased per-thread ring.
 //
-// The metrics layer (metrics.hpp) answers "how often" -- counters and
-// histograms aggregated over a whole run.  This layer answers "when and for
-// how long": every traced operation (add / remove / contains on each of the
-// four structures, pool refills, EBR epoch advances, health probes) records
-// a span -- begin/end tsc timestamps plus the retry count and traversal
-// depth accumulated while it ran -- into a leased per-thread ring
-// (metrics::ring_pool), and the export layer (trace_export.hpp) turns the
-// merged dump into a Chrome/Perfetto `trace_event` JSON or a compact binary
-// file that tools/trace2perfetto.py converts offline.
+// Exact counts live in each structure's instance counters (metrics.hpp) and
+// latency distributions in the telemetry plane's sketches (telemetry.hpp).
+// This layer answers "when, for how long, and in what order": every traced
+// operation (add / remove / contains on each of the four structures, pool
+// refills, EBR epoch advances, health probes, WAL flushes, checkpoints,
+// replays) records a span -- begin/end tsc timestamps plus the retry count
+// and traversal depth accumulated while it ran -- and every structural
+// event (a split, a root raise, one of the four Fig. 8 compaction
+// transforms, a new EBR epoch, a stalled or quarantined reader) records a
+// zero-length span carrying one payload word.  The bench sidecar
+// (bench/bench_common.hpp) writes the merged dump as one Chrome
+// `trace_event` line per span; `tools/telemetry_report.py --perfetto`
+// wraps those lines into a document Perfetto loads.
 //
-// Zero-cost contract, same as LFST_M_* / LFST_FP_*: the machinery below is
-// always compiled (the tier-1 suite exercises it in every build), but the
-// LFST_T_* macros threaded through the structures compile to `((void)0)`
-// unless LFST_TRACE is defined -- no branch, no TLS load, no registry
-// reference on any hot path of a plain build.
+// Zero-cost contract: the machinery below is always compiled (the tier-1
+// suite exercises it in every build), but the LFST_T_* macros threaded
+// through the structures compile to `((void)0)` unless LFST_TRACE is
+// defined -- no branch, no TLS load, no registry reference on any hot path
+// of a plain build.  LFST_TRACE is the only instrumentation compile flag.
 //
 // Span lifecycle.  `scoped_span` publishes itself in a thread-local
 // current-span slot for its lifetime, so deep retry/step sites
@@ -25,18 +30,19 @@
 // destruction -- a span that never ends (thread killed mid-op) is simply
 // absent from the dump.
 //
-// Clock calibration: span timestamps are raw tsc ticks.  The registry
-// captures a (tsc, steady_clock) anchor pair at construction and another at
-// export time; their quotient gives ticks-per-microsecond without any
-// serializing instruction on the hot path.  Cross-core tsc skew makes
-// ordering best-effort, exactly as for metrics event traces.
+// Span timestamps are raw tsc ticks, converted to microseconds at export
+// with metrics::ticks_per_us(); cross-core tsc skew makes ordering
+// best-effort.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <sstream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -46,8 +52,9 @@ namespace lfst::trace {
 
 // --- span identifiers ----------------------------------------------------------
 //
-// Adding an id: append to the enum AND the name table; the static_assert
-// keeps them in lockstep.
+// Adding an id: append to the right block of the enum AND the name table;
+// the static_assert keeps them in lockstep.  Ids from kFirstEvent on are
+// events: zero-length spans whose payload replaces the retry/depth pair.
 
 enum class sid : std::uint16_t {
   skiptree_contains = 0,
@@ -69,8 +76,20 @@ enum class sid : std::uint16_t {
   wal_flush,
   storage_checkpoint,
   storage_replay,
+  // --- events ---
+  skiptree_split,       ///< payload: split position in the old payload
+  skiptree_root_raise,  ///< payload: new root height
+  skiptree_compact_8a,  ///< payload: index of the repaired entry
+  skiptree_compact_8b,
+  skiptree_compact_8c,
+  skiptree_compact_8d,
+  ebr_new_epoch,        ///< payload: the epoch just published
+  ebr_stall,            ///< payload: slot index of the stalled reader
+  ebr_quarantine,       ///< payload: slot index of the quarantined reader
   kCount
 };
+
+inline constexpr sid kFirstEvent = sid::skiptree_split;
 
 inline constexpr std::string_view kSpanNames[] = {
     "skiptree.contains",
@@ -92,6 +111,15 @@ inline constexpr std::string_view kSpanNames[] = {
     "storage.wal.flush",
     "storage.checkpoint",
     "storage.replay",
+    "skiptree.split",
+    "skiptree.root_raise",
+    "skiptree.compact_8a",
+    "skiptree.compact_8b",
+    "skiptree.compact_8c",
+    "skiptree.compact_8d",
+    "ebr.new_epoch",
+    "ebr.stall",
+    "ebr.quarantine",
 };
 static_assert(sizeof(kSpanNames) / sizeof(kSpanNames[0]) ==
               static_cast<std::size_t>(sid::kCount));
@@ -100,8 +128,11 @@ constexpr std::string_view span_name(sid id) noexcept {
   return kSpanNames[static_cast<std::size_t>(id)];
 }
 
+constexpr bool is_event(sid id) noexcept { return id >= kFirstEvent; }
+
 /// One completed span, annotated with its source thread (the ring-pool index
-/// of the recording thread's leased ring).
+/// of the recording thread's leased ring).  Operation spans fill retries and
+/// depth; events (t0 == t1) fill payload.
 struct span_record {
   sid id{};
   std::uint64_t t0 = 0;       ///< tsc at span begin
@@ -109,28 +140,30 @@ struct span_record {
   std::uint32_t retries = 0;  ///< CAS retries charged to this operation
   std::uint32_t depth = 0;    ///< traversal steps charged to this operation
   std::uint64_t thread = 0;
+  std::uint64_t payload = 0;  ///< event argument
 };
 
 // --- per-thread span ring --------------------------------------------------------
 
-/// Fixed-capacity ring of completed spans; same writer/reader contract as
-/// metrics::trace_ring (one writer at a time, relaxed atomic fields so a
-/// concurrent drain reads torn records at worst, exactness after quiescence).
-/// retries and depth are packed into one 64-bit word to keep a push at four
-/// relaxed stores plus the head bump.
+/// Fixed-capacity ring of completed spans, written by exactly one thread at
+/// a time (rings are recycled across threads, never shared concurrently).
+/// All fields are relaxed atomics so a concurrent drain reads torn records
+/// at worst, never undefined behavior; exact dumps require quiescence.  The
+/// 64-bit `arg` word packs retries:depth for operation spans and holds the
+/// payload for events, keeping a push at four relaxed stores plus the head
+/// bump.
 class span_ring {
  public:
   static constexpr std::size_t kCapacity = 4096;
 
-  void push(sid id, std::uint64_t t0, std::uint64_t t1, std::uint32_t retries,
-            std::uint32_t depth) noexcept {
+  void push(sid id, std::uint64_t t0, std::uint64_t t1,
+            std::uint64_t arg) noexcept {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     slot& s = slots_[h % kCapacity];
     s.id.store(static_cast<std::uint16_t>(id), std::memory_order_relaxed);
     s.t0.store(t0, std::memory_order_relaxed);
     s.t1.store(t1, std::memory_order_relaxed);
-    s.stats.store((static_cast<std::uint64_t>(retries) << 32) | depth,
-                  std::memory_order_relaxed);
+    s.arg.store(arg, std::memory_order_relaxed);
     head_.store(h + 1, std::memory_order_release);
   }
 
@@ -140,13 +173,19 @@ class span_ring {
     const std::uint64_t n = h < kCapacity ? h : kCapacity;
     for (std::uint64_t i = h - n; i < h; ++i) {
       const slot& s = slots_[i % kCapacity];
-      const std::uint64_t stats = s.stats.load(std::memory_order_relaxed);
-      out.push_back(span_record{
-          static_cast<sid>(s.id.load(std::memory_order_relaxed)),
-          s.t0.load(std::memory_order_relaxed),
-          s.t1.load(std::memory_order_relaxed),
-          static_cast<std::uint32_t>(stats >> 32),
-          static_cast<std::uint32_t>(stats & 0xffffffffu), thread});
+      span_record r;
+      r.id = static_cast<sid>(s.id.load(std::memory_order_relaxed));
+      r.t0 = s.t0.load(std::memory_order_relaxed);
+      r.t1 = s.t1.load(std::memory_order_relaxed);
+      r.thread = thread;
+      const std::uint64_t arg = s.arg.load(std::memory_order_relaxed);
+      if (is_event(r.id)) {
+        r.payload = arg;
+      } else {
+        r.retries = static_cast<std::uint32_t>(arg >> 32);
+        r.depth = static_cast<std::uint32_t>(arg & 0xffffffffu);
+      }
+      out.push_back(r);
     }
   }
 
@@ -162,7 +201,7 @@ class span_ring {
     std::atomic<std::uint16_t> id{0};
     std::atomic<std::uint64_t> t0{0};
     std::atomic<std::uint64_t> t1{0};
-    std::atomic<std::uint64_t> stats{0};
+    std::atomic<std::uint64_t> arg{0};
   };
   std::atomic<std::uint64_t> head_{0};
   std::array<slot, kCapacity> slots_{};
@@ -170,19 +209,15 @@ class span_ring {
 
 // --- registry -----------------------------------------------------------------
 
-/// Tsc-to-wall-clock anchor: a (tsc, steady_clock) pair captured at one
-/// instant; two anchors give the tick rate.
-struct clock_anchor {
-  std::uint64_t tsc = 0;
-  std::chrono::steady_clock::time_point steady{};
-
-  static clock_anchor now() noexcept {
-    return clock_anchor{metrics::tsc_now(), std::chrono::steady_clock::now()};
-  }
-};
-
-/// Process-wide span-trace registry: a leaky singleton owning the span-ring
-/// pool plus the clock anchor for export-time calibration.
+/// Process-wide span registry: a leaky singleton (so spans stay recordable
+/// from static-destruction-time code) owning a growable set of per-thread
+/// rings, leased on a thread's first push and returned (contents intact,
+/// hence still drainable) when the thread exits.  A returned ring is
+/// recycled by the next fresh lease with its contents preserved: the
+/// records already in it were really pushed, and wiping them would lose a
+/// short-lived thread's entire output whenever its ring is re-leased
+/// before anyone drains.  The newcomer appends after the old owner's tail;
+/// only an explicit reset() clears rings.
 class trace_registry {
  public:
   static trace_registry& instance() {
@@ -190,17 +225,27 @@ class trace_registry {
     return *r;
   }
 
-  void push(sid id, std::uint64_t t0, std::uint64_t t1, std::uint32_t retries,
-            std::uint32_t depth) noexcept {
-    rings_.my_ring().push(id, t0, t1, retries, depth);
+  void push(sid id, std::uint64_t t0, std::uint64_t t1,
+            std::uint64_t arg) noexcept {
+    my_ring().push(id, t0, t1, arg);
   }
 
-  /// Merge every thread's span ring into one dump ordered by span begin.
+  /// Record an event: a zero-length span at the current tsc.
+  void event(sid id, std::uint64_t payload) noexcept {
+    const std::uint64_t now = metrics::tsc_now();
+    push(id, now, now, payload);
+  }
+
+  /// Merge every ring ever leased, alive or not, into one dump ordered by
+  /// span begin; a ring's pool index is the "thread" of its records.
   std::vector<span_record> drain() const {
     std::vector<span_record> out;
-    rings_.for_each([&out](const span_ring& r, std::size_t i) {
-      r.drain_into(out, i);
-    });
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      for (std::size_t i = 0; i < rings_.size(); ++i) {
+        rings_[i]->ring.drain_into(out, i);
+      }
+    }
     std::stable_sort(out.begin(), out.end(),
                      [](const span_record& a, const span_record& b) {
                        return a.t0 < b.t0;
@@ -208,26 +253,53 @@ class trace_registry {
     return out;
   }
 
-  /// Measured tsc ticks per microsecond since the registry was constructed.
-  /// Call after a run (needs a non-trivial elapsed window to be meaningful);
-  /// falls back to 1.0 when the window is too short to divide.
-  double ticks_per_us() const {
-    const clock_anchor now = clock_anchor::now();
-    const double us = std::chrono::duration<double, std::micro>(
-                          now.steady - birth_.steady)
-                          .count();
-    if (us <= 0.0 || now.tsc <= birth_.tsc) return 1.0;
-    return static_cast<double>(now.tsc - birth_.tsc) / us;
+  /// Wipe every ring (caller must quiesce the writers first).
+  void reset() {
+    std::lock_guard<std::mutex> g(mu_);
+    for (const auto& r : rings_) r->ring.reset();
   }
 
-  /// Wipe every ring (caller must quiesce).
-  void reset() { rings_.reset(); }
-
  private:
-  trace_registry() : birth_(clock_anchor::now()) {}
+  struct owned_ring {
+    span_ring ring;
+    std::atomic<bool> leased{false};
+  };
 
-  clock_anchor birth_;
-  mutable metrics::ring_pool<span_ring> rings_;
+  struct ring_lease {
+    owned_ring* ring = nullptr;
+    ~ring_lease() {
+      if (ring != nullptr)
+        ring->leased.store(false, std::memory_order_release);
+    }
+  };
+
+  trace_registry() = default;
+
+  /// The calling thread's leased ring (acquired on first call).  The lease
+  /// is one thread_local per process, which is why the registry must stay
+  /// a singleton.
+  span_ring& my_ring() {
+    thread_local ring_lease lease;
+    if (lease.ring == nullptr) lease.ring = &acquire_ring();
+    return lease.ring->ring;
+  }
+
+  owned_ring& acquire_ring() {
+    std::lock_guard<std::mutex> g(mu_);
+    for (const auto& r : rings_) {
+      bool expected = false;
+      if (r->leased.compare_exchange_strong(expected, true,
+                                            std::memory_order_acq_rel)) {
+        return *r;  // contents preserved: see class comment
+      }
+    }
+    rings_.push_back(std::make_unique<owned_ring>());
+    rings_.back()->leased.store(true, std::memory_order_relaxed);
+    return *rings_.back();
+  }
+
+  mutable std::mutex mu_;
+  std::vector<std::unique_ptr<owned_ring>> rings_;
 };
 
 // --- scoped span ----------------------------------------------------------------
@@ -250,8 +322,9 @@ class scoped_span {
 
   ~scoped_span() {
     current() = prev_;
-    trace_registry::instance().push(id_, t0_, metrics::tsc_now(), retries_,
-                                    depth_);
+    trace_registry::instance().push(
+        id_, t0_, metrics::tsc_now(),
+        (static_cast<std::uint64_t>(retries_) << 32) | depth_);
   }
 
   void add_retry() noexcept { ++retries_; }
@@ -280,12 +353,47 @@ inline void note_step() noexcept {
   if (scoped_span* s = scoped_span::current()) s->add_step();
 }
 
+// --- Chrome trace_event export -----------------------------------------------------
+
+/// One Chrome `trace_event` object per span, one per line: a complete event
+/// (ph "X") on pid 0 / tid = its ring index, timestamps in microseconds
+/// relative to the earliest span in `spans`.  Events export with dur 0 and
+/// their payload in `args`; operation spans carry retries and depth, which
+/// Perfetto shows in its detail pane.  Every object also carries
+/// "type":"span" so the lines can share a JSON-lines sidecar with other
+/// record types.  Durations are clamped non-negative (cross-core tsc skew
+/// can invert a short span).
+inline std::string to_chrome_lines(const std::vector<span_record>& spans,
+                                   double ticks_per_us) {
+  if (ticks_per_us <= 0.0) ticks_per_us = 1.0;
+  std::uint64_t base = spans.empty() ? 0 : spans.front().t0;
+  for (const span_record& s : spans) base = std::min(base, s.t0);
+  std::ostringstream os;
+  for (const span_record& s : spans) {
+    const double ts = static_cast<double>(s.t0 - base) / ticks_per_us;
+    const double dur = s.t1 >= s.t0
+                           ? static_cast<double>(s.t1 - s.t0) / ticks_per_us
+                           : 0.0;
+    os << "{\"type\":\"span\",\"name\":\"" << span_name(s.id)
+       << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << s.thread << ",\"ts\":" << ts
+       << ",\"dur\":" << dur << ",\"args\":{";
+    if (is_event(s.id)) {
+      os << "\"payload\":" << s.payload;
+    } else {
+      os << "\"retries\":" << s.retries << ",\"depth\":" << s.depth;
+    }
+    os << "}}\n";
+  }
+  return os.str();
+}
+
 }  // namespace lfst::trace
 
 // --- instrumentation macros ------------------------------------------------------
 //
 // All span instrumentation goes through these; they compile to nothing
-// without LFST_TRACE (arguments are discarded textually).
+// without LFST_TRACE (arguments are discarded textually, so payload
+// expressions cost nothing in a plain build).
 
 #if defined(LFST_TRACE)
 
@@ -300,10 +408,16 @@ inline void note_step() noexcept {
 #define LFST_T_RETRY() (::lfst::trace::note_retry())
 #define LFST_T_STEP() (::lfst::trace::note_step())
 
+/// Record an event (a zero-length span) with one payload word.
+#define LFST_T_EVENT(id_, payload_)                  \
+  (::lfst::trace::trace_registry::instance().event( \
+      (id_), static_cast<std::uint64_t>(payload_)))
+
 #else  // !LFST_TRACE: every macro compiles to nothing.
 
 #define LFST_T_SPAN(id_) ((void)0)
 #define LFST_T_RETRY() ((void)0)
 #define LFST_T_STEP() ((void)0)
+#define LFST_T_EVENT(id_, payload_) ((void)0)
 
 #endif  // LFST_TRACE

@@ -33,7 +33,6 @@
 #include "alloc/pool.hpp"
 #include "common/align.hpp"
 #include "common/backoff.hpp"
-#include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "reclaim/ebr.hpp"
 #include "reclaim/hazard.hpp"
@@ -159,7 +158,6 @@ class harris_list {
         return true;
       }
       node::template destroy<Alloc>(fresh);
-      LFST_M_COUNT(::lfst::metrics::cid::harris_add_retries);
       LFST_T_RETRY();
       bo();
     }
@@ -180,7 +178,6 @@ class harris_list {
       if (!victim->next.compare_exchange_strong(
               w, node::mark(w), std::memory_order_acq_rel,
               std::memory_order_acquire)) {
-        LFST_M_COUNT(::lfst::metrics::cid::harris_remove_retries);
         LFST_T_RETRY();
         bo();
         continue;
@@ -191,7 +188,6 @@ class harris_list {
       if (pos.prev_link->compare_exchange_strong(
               expected, node::pack(node::ptr(w), false),
               std::memory_order_acq_rel, std::memory_order_acquire)) {
-        LFST_M_COUNT(::lfst::metrics::cid::harris_physical_removals);
         Reclaim::retire(domain_, victim->template as_retired<Alloc>());
       } else {
         find(v, g);  // help: snips the marked node, retires it there
@@ -259,7 +255,6 @@ class harris_list {
                 std::memory_order_acq_rel, std::memory_order_acquire)) {
           goto retry;  // prev changed: restart
         }
-        LFST_M_COUNT(::lfst::metrics::cid::harris_physical_removals);
         Reclaim::retire(domain_, curr->template as_retired<Alloc>());
         curr = node::ptr(w);
         if (curr == nullptr) return position{prev_link, nullptr, false};
@@ -340,7 +335,6 @@ class harris_list_hp {
         return true;
       }
       node::template destroy<Alloc>(fresh);
-      LFST_M_COUNT(::lfst::metrics::cid::harris_add_retries);
       LFST_T_RETRY();
       bo();
     }
@@ -360,7 +354,6 @@ class harris_list_hp {
       if (!victim->next.compare_exchange_strong(
               w, node::mark(w), std::memory_order_acq_rel,
               std::memory_order_acquire)) {
-        LFST_M_COUNT(::lfst::metrics::cid::harris_remove_retries);
         LFST_T_RETRY();
         bo();
         continue;
@@ -370,7 +363,6 @@ class harris_list_hp {
       if (pos.prev_link->compare_exchange_strong(
               expected, node::pack(node::ptr(w), false),
               std::memory_order_acq_rel, std::memory_order_acquire)) {
-        LFST_M_COUNT(::lfst::metrics::cid::harris_physical_removals);
         domain_.retire(victim->template as_retired<Alloc>());
       } else {
         position dummy{};
@@ -478,7 +470,6 @@ class harris_list_hp {
                 std::memory_order_acquire)) {
           goto retry;
         }
-        LFST_M_COUNT(::lfst::metrics::cid::harris_physical_removals);
         domain_.retire(curr->template as_retired<Alloc>());
         continue;  // window unchanged; examine `next` via prev_link re-read
       }

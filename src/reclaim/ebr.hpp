@@ -22,7 +22,7 @@
 // the grace period, so a pinned compare-and-swap can never observe a
 // recycled address.
 //
-// Stall tolerance (DESIGN.md Sec. 9).  Classic EBR's failure mode is a single
+// Stall tolerance (DESIGN.md Sec. 8).  Classic EBR's failure mode is a single
 // preempted, stalled, or dead reader pinning the epoch forever, growing
 // garbage without bound (the hazard DEBRA+ neutralizes, arXiv 1712.05406).
 // This domain adds four cooperating mechanisms:
@@ -58,7 +58,6 @@
 
 #include "common/align.hpp"
 #include "common/failpoint.hpp"
-#include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "reclaim/hazard.hpp"
 #include "reclaim/retired.hpp"
@@ -87,7 +86,7 @@ struct stall_params {
   std::uint64_t stall_age_ticks = 0;      ///< same-epoch age before flagging
   std::uint64_t eviction_grace_ticks = 0; ///< flagged age before quarantine
   std::uint64_t min_epoch_lag = 1;        ///< only flag slots this far behind
-  bool quarantine = true;                 ///< allow declaring readers failed
+  bool quarantine = false;  ///< opt-in: allow declaring readers failed
   bool escape_to_hazard = true;           ///< degraded-mode hazard routing
 };
 
@@ -253,19 +252,12 @@ class ebr_domain {
       // the overflow list instead, keeping the limbo high-watermark under
       // the cap even while a stalled reader blocks collection.
       defer_to_overflow(b, g);
-      LFST_M_COUNT(::lfst::metrics::cid::ebr_cap_deferrals);
     } else {
       s.lock_limbo();
       stash(s, g, b);
-      LFST_M_TALLY(depth);
-#if defined(LFST_METRICS)
-      depth = s.limbo[0].size() + s.limbo[1].size() + s.limbo[2].size();
-#endif
       s.unlock_limbo();
       limbo_blocks_.fetch_add(1, std::memory_order_relaxed);
-      LFST_M_HIST(::lfst::metrics::hid::ebr_limbo_depth, depth);
     }
-    LFST_M_COUNT(::lfst::metrics::cid::ebr_retires);
     if (++s.retire_ticks >= kAdvanceEvery) {
       s.retire_ticks = 0;
       try_advance();
@@ -419,9 +411,7 @@ class ebr_domain {
                          std::memory_order_acq_rel);
         s.flagged_tsc = p.now_tsc;
         ++r.flagged;
-        LFST_M_COUNT(::lfst::metrics::cid::ebr_stalls_detected);
-        LFST_M_HIST(::lfst::metrics::hid::ebr_stall_age_ticks, age);
-        LFST_M_TRACE(::lfst::metrics::eid::ebr_stall, i);
+        LFST_T_EVENT(::lfst::trace::sid::ebr_stall, i);
       } else if (p.quarantine &&
                  (f & detail::ebr_slot::kQuarantined) == 0 &&
                  s.flagged_tsc != 0 &&
@@ -437,8 +427,7 @@ class ebr_domain {
                 std::memory_order_acq_rel)) {
           quarantined_.fetch_add(1, std::memory_order_relaxed);
           ++r.quarantined_now;
-          LFST_M_COUNT(::lfst::metrics::cid::ebr_quarantines);
-          LFST_M_TRACE(::lfst::metrics::eid::ebr_quarantine, i);
+          LFST_T_EVENT(::lfst::trace::sid::ebr_quarantine, i);
           // The dead slot's limbo would otherwise rot until the domain
           // dies or the slot is re-acquired; park it on the overflow list
           // where normal drains can free it once its grace period passes.
@@ -636,7 +625,6 @@ class ebr_domain {
       g = g2;
     }
     s.pinned = g;
-    LFST_M_COUNT(::lfst::metrics::cid::ebr_self_evictions);
     return true;
   }
 
@@ -656,25 +644,13 @@ class ebr_domain {
              detail::ebr_slot::kQuarantined) != 0) {
           continue;
         }
-        LFST_M_COUNT(::lfst::metrics::cid::ebr_advance_stalls);
         return false;
       }
     }
     std::uint64_t expected = g;
     if (global_epoch_.compare_exchange_strong(expected, g + 1,
                                               std::memory_order_seq_cst)) {
-      LFST_M_COUNT(::lfst::metrics::cid::ebr_advances);
-      LFST_M_TRACE(::lfst::metrics::eid::ebr_advance, g + 1);
-#if defined(LFST_METRICS)
-      // Inter-advance latency: tsc delta between consecutive successful
-      // advances of this domain (first advance seeds the baseline).
-      const std::uint64_t now = ::lfst::metrics::tsc_now();
-      const std::uint64_t prev =
-          last_advance_tsc_.exchange(now, std::memory_order_relaxed);
-      if (prev != 0) {
-        LFST_M_HIST(::lfst::metrics::hid::ebr_advance_ticks, now - prev);
-      }
-#endif
+      LFST_T_EVENT(::lfst::trace::sid::ebr_new_epoch, g + 1);
     }
     return true;  // advanced, or somebody else did
   }
@@ -731,7 +707,6 @@ class ebr_domain {
                                              std::memory_order_relaxed)) {
         const std::size_t nb = cur + bytes;
         raise_hwm(limbo_bytes_hwm_, nb);
-        LFST_M_GAUGE_MAX(::lfst::metrics::gid::ebr_limbo_bytes_hwm, nb);
         return true;
       }
     }
@@ -764,7 +739,6 @@ class ebr_domain {
         overflow_bytes_.fetch_add(b.bytes, std::memory_order_relaxed) +
         b.bytes;
     raise_hwm(overflow_bytes_hwm_, nb);
-    LFST_M_GAUGE_MAX(::lfst::metrics::gid::ebr_overflow_bytes_hwm, nb);
   }
 
   /// Move a quarantined slot's limbo onto the overflow list, keeping each
@@ -795,8 +769,6 @@ class ebr_domain {
                                  moved_bytes, std::memory_order_relaxed) +
                              moved_bytes;
       raise_hwm(overflow_bytes_hwm_, nb);
-      LFST_M_GAUGE_MAX(::lfst::metrics::gid::ebr_overflow_bytes_hwm, nb);
-      LFST_M_COUNT(::lfst::metrics::cid::ebr_limbo_handoffs);
     }
     return moved;
   }
@@ -834,7 +806,6 @@ class ebr_domain {
       if (degraded) {
         escape->retire(e.block);
         ++r.escaped;
-        LFST_M_COUNT(::lfst::metrics::cid::ebr_escape_frees);
       } else {
         e.block.reclaim();
         ++r.freed;
@@ -849,9 +820,6 @@ class ebr_domain {
   const std::uint64_t id_;
   std::atomic<std::uint64_t> global_epoch_{1};
   std::atomic<std::size_t> high_water_{0};
-#if defined(LFST_METRICS)
-  std::atomic<std::uint64_t> last_advance_tsc_{0};
-#endif
 
   // Bounded-limbo state.
   std::atomic<std::size_t> max_limbo_bytes_{0};

@@ -35,7 +35,6 @@
 #include "alloc/pool.hpp"
 #include "common/align.hpp"
 #include "common/backoff.hpp"
-#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/trace.hpp"
 #include "reclaim/ebr.hpp"
@@ -139,7 +138,6 @@ class skip_list {
               expected, node::pack(fresh, false), std::memory_order_acq_rel,
               std::memory_order_relaxed)) {
         node::destroy(fresh);  // never published
-        LFST_M_COUNT(::lfst::metrics::cid::skiplist_add_retries);
         LFST_T_RETRY();
         bo();
         continue;
@@ -179,7 +177,6 @@ class skip_list {
         Reclaim::retire(domain_, victim->as_retired());
         return true;
       }
-      LFST_M_COUNT(::lfst::metrics::cid::skiplist_remove_retries);
       LFST_T_RETRY();
     }
   }
@@ -432,7 +429,6 @@ class skip_list {
                   std::memory_order_acq_rel, std::memory_order_acquire)) {
             goto retry;  // pred changed or was marked: restart
           }
-          LFST_M_COUNT(::lfst::metrics::cid::skiplist_physical_unlinks);
           curr = node::ptr(w);
           if (curr == nullptr) break;
           w = curr->next(lvl)->load(std::memory_order_acquire);

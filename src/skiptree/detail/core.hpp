@@ -50,9 +50,7 @@
 namespace lfst::skiptree {
 
 /// Structural event ids, one per diagnostic counter a tree keeps about
-/// itself.  The order MUST mirror the `skiptree_*` block of `metrics::cid`
-/// (common/metrics.hpp): per-tree bumps are forwarded to the process-wide
-/// registry with a single static_cast.
+/// itself.
 enum class tree_counter : std::uint16_t {
   cas_failures = 0,     ///< lost CAS races (contention probe)
   splits,
@@ -65,12 +63,6 @@ enum class tree_counter : std::uint16_t {
   compactions_skipped,  ///< repairs abandoned under OOM
   kCount
 };
-
-static_assert(static_cast<std::uint16_t>(metrics::cid::skiptree_cas_failures) ==
-              static_cast<std::uint16_t>(tree_counter::cas_failures));
-static_assert(
-    static_cast<std::uint16_t>(metrics::cid::skiptree_compactions_skipped) ==
-    static_cast<std::uint16_t>(tree_counter::compactions_skipped));
 
 /// Short name of a tree counter (the validator's metrics section uses these).
 constexpr std::string_view tree_counter_name(tree_counter c) noexcept {
@@ -130,10 +122,8 @@ struct tree_core {
   alignas(kFalseSharingRange) std::atomic<std::ptrdiff_t> size{0};
 
   // Structural event counters (diagnostics; relaxed, off the fast path).
-  // Per-instance and always on -- tests assert exact per-tree counts, which a
-  // process-wide slot cannot give them.  `bump` is the only writer; under
-  // LFST_METRICS it also mirrors the event into the global registry so
-  // cross-structure dumps see every tree's events combined.
+  // Per-instance and always on -- tests assert exact per-tree counts.
+  // `bump` is the only writer.
   metrics::instance_counters<tree_counter> counters;
 
   // CAS-contention heatmap (skiptree/heatmap.hpp).  Like `counters`: per
@@ -149,13 +139,11 @@ struct tree_core {
     // span layer's retry hook: the innermost live span (the add/remove this
     // thread is executing) gets charged one retry.
     if (c == tree_counter::cas_failures) LFST_T_RETRY();
-    LFST_M_COUNT(static_cast<metrics::cid>(
-        static_cast<std::uint16_t>(c)));
   }
 
   /// A payload CAS on `nd`'s list at `level` lost its race.  Attributes
   /// the failure in the heatmap, then funnels through bump() for the
-  /// counter / span-retry / metrics mirrors.
+  /// counter and the span retry.
   void bump_cas_failure(const node_t* nd, int level) noexcept {
     heat.record(level, nd);
     bump(tree_counter::cas_failures);

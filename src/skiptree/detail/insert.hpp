@@ -86,27 +86,22 @@ struct insert_ops {
     if (h > head->height) h = head->height;
     int level = head->height;
     node_t* nd = head->node;
-    LFST_M_TALLY(lfst_m_depth);
     for (;;) {
       contents_t* cts = Core::load_payload(nd);
       Core::prefetch_payload(cts);
       const int i = core.search_keys(*cts, v);
       if (Core::is_past_end(i, *cts)) {
         nd = cts->link;
-        LFST_M_TALLY_INC(lfst_m_depth);
         LFST_T_STEP();
       } else {
         if (level <= h) {
           srchs[level] = search{nd, cts, i};
         }
         if (level == 0) {
-          LFST_M_HIST(::lfst::metrics::hid::skiptree_traversal_depth,
-                      lfst_m_depth);
           return h;
         }
         nd = cts->children()[Core::descend_index(i)];
         --level;
-        LFST_M_TALLY_INC(lfst_m_depth);
         LFST_T_STEP();
       }
     }
@@ -130,7 +125,7 @@ struct insert_ops {
                                             std::memory_order_acquire)) {
         Reclaim::retire(core.domain, head);
         core.bump(tree_counter::root_raises);
-        LFST_M_TRACE(::lfst::metrics::eid::skiptree_root_raise,
+        LFST_T_EVENT(::lfst::trace::sid::skiptree_root_raise,
                      static_cast<std::uint64_t>(grown->height));
         head = grown;
       } else {
@@ -155,11 +150,8 @@ struct insert_ops {
     contents_t* cts = s.cts;
     int i = s.index;
     backoff bo;
-    LFST_M_TALLY(lfst_m_retries);
     for (;;) {
       if (i >= 0) {
-        LFST_M_HIST(::lfst::metrics::hid::skiptree_cas_retries_per_op,
-                    lfst_m_retries);
         return false;  // already present at this level
       }
       if (Core::is_past_end(i, *cts)) {
@@ -181,13 +173,10 @@ struct insert_ops {
       if (core.cas_payload(nd, cts, repl)) {
         core.retire(cts);
         s = search{nd, repl, static_cast<int>(pos)};
-        LFST_M_HIST(::lfst::metrics::hid::skiptree_cas_retries_per_op,
-                    lfst_m_retries);
         return true;
       }
       Core::destroy(repl);
       core.bump_cas_failure(nd, level);
-      LFST_M_TALLY_INC(lfst_m_retries);
       // cts now holds nd's current payload (CAS reloads on failure).
       bo();
       i = core.search_keys(*cts, v);
@@ -238,7 +227,7 @@ struct insert_ops {
       if (core.cas_payload(nd, cts, left)) {
         core.retire(cts);
         core.bump(tree_counter::splits);
-        LFST_M_TRACE(::lfst::metrics::eid::skiptree_split,
+        LFST_T_EVENT(::lfst::trace::sid::skiptree_split,
                      static_cast<std::uint64_t>(pos));
         s = search{nd, left, static_cast<int>(pos)};
         return rnode;

@@ -44,7 +44,6 @@ struct traverse_ops {
     const node_t* nd = head->node;
     const contents_t* cts = Core::load_payload(nd);
     i = core.search_keys(*cts, v);
-    LFST_M_TALLY(lfst_m_depth);
     while (!cts->leaf) {
       LFST_FP_POINT("skiptree.traverse.step");
       if (g.check()) goto restart;  // evicted: all pointers above are stale
@@ -53,10 +52,8 @@ struct traverse_ops {
       cts = Core::load_payload(nd);
       Core::prefetch_payload(cts);
       i = core.search_keys(*cts, v);
-      LFST_M_TALLY_INC(lfst_m_depth);
       LFST_T_STEP();
     }
-    LFST_M_HIST(::lfst::metrics::hid::skiptree_traversal_depth, lfst_m_depth);
     return cts;
   }
 

@@ -22,9 +22,9 @@
 // (`max_nodes_per_level`) to keep probe cost O(height * bound) regardless
 // of tree size -- background-safe by construction.
 //
-// Each probe also lands in the observability layer: a metrics-build
-// records the backlog and occupancy into registry histograms and drops a
-// trace event; a trace-build wraps the walk in a `health_probe` span.
+// Each probe also lands in the observability plane: an LFST_TRACE build
+// wraps the walk in a `health_probe` span, and a running health_ticker
+// publishes its latest sample as telemetry gauges.
 #pragma once
 
 #include <atomic>
@@ -36,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/metrics.hpp"
 #include "common/telemetry.hpp"
 #include "common/trace.hpp"
 #include "skiptree/skip_tree.hpp"
@@ -152,13 +151,6 @@ class skip_tree_health {
       }
       head = next_head;
     }
-
-    LFST_M_HIST(::lfst::metrics::hid::skiptree_health_backlog,
-                static_cast<std::uint64_t>(s.compaction_backlog()));
-    LFST_M_HIST(::lfst::metrics::hid::skiptree_health_occupancy_pct,
-                static_cast<std::uint64_t>(s.occupancy_pct()));
-    LFST_M_TRACE(::lfst::metrics::eid::skiptree_health_probe,
-                 static_cast<std::uint64_t>(s.sampled_nodes));
     return s;
   }
 

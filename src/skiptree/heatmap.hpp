@@ -5,8 +5,8 @@
 // WHERE the lost CASes concentrate: are retries spread across the leaf
 // level (inherent write contention) or piled on a handful of index nodes
 // (a structural hotspot that backoff/localized-compaction could fix)?
-// The aggregate `cas_failures` counter cannot answer that, and the trace
-// rings (PR 4) only sample.  This heatmap counts EVERY failed CAS, always
+// The aggregate `cas_failures` counter cannot answer that, and the span
+// ring (common/trace.hpp) wraps.  This heatmap counts EVERY failed CAS, always
 // on, attributed to the level of the list the CAS targeted and a 64-way
 // hash of the node's address.
 //

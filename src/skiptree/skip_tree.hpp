@@ -237,7 +237,7 @@ class skip_tree {
 
   /// Structural event counters (diagnostics; relaxed, updated off the fast
   /// path only).  Compatibility shim over the tree's `tree_counter` array
-  /// (detail/core.hpp) -- the snapshot is generated from the metrics layer's
+  /// (detail/core.hpp) -- the snapshot is generated from the tree's
   /// `instance_counters`, one field per `tree_counter` in enum order.
   struct structural_stats {
     std::uint64_t cas_failures = 0;  ///< lost CAS races (contention probe)

@@ -32,9 +32,6 @@
 #include <vector>
 
 #include "skiptree/skip_tree.hpp"
-#if defined(LFST_METRICS)
-#include "common/metrics_export.hpp"
-#endif
 
 namespace lfst::skiptree {
 
@@ -127,8 +124,7 @@ class skip_tree_inspector {
     return rep;
   }
 
-  /// One-line dump of this tree's structural counters (plus, in metrics
-  /// builds, the process-wide registry) for failure reports.
+  /// One-line dump of this tree's structural counters for failure reports.
   std::string metrics_text() const {
     std::ostringstream os;
     const auto snap = tree_.core_.counters.snapshot();
@@ -137,10 +133,6 @@ class skip_tree_inspector {
       os << tree_counter_name(static_cast<tree_counter>(i)) << "="
          << snap[i];
     }
-#if defined(LFST_METRICS)
-    os << "\n  global metrics:\n"
-       << metrics::to_table(metrics::registry::instance().aggregate());
-#endif
     return os.str();
   }
 

@@ -145,7 +145,7 @@ checkpoint_result write_checkpoint(const Tree& tree, int q_log2, wal& log,
                                    std::size_t keep = 2) {
   LFST_T_SPAN(::lfst::trace::sid::storage_checkpoint);
   LFST_FP_POINT("storage.checkpoint.begin");
-  [[maybe_unused]] const std::uint64_t t0 = metrics::tsc_now();
+  const std::uint64_t t0 = metrics::tsc_now();
   const auto wall0 = std::chrono::steady_clock::now();
   checkpoint_result out;
   out.cp_lsn = log.rotate();
@@ -172,7 +172,6 @@ checkpoint_result write_checkpoint(const Tree& tree, int q_log2, wal& log,
   LFST_FP_POINT("storage.checkpoint.rename");
   std::filesystem::rename(tmp_path, final_path);
   fsync_directory(dir);
-  LFST_M_COUNT(::lfst::metrics::cid::storage_checkpoints);
 
   const auto [cps, segs] = prune_storage_dir(dir, keep);
   out.pruned_checkpoints = cps;

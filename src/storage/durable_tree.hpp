@@ -168,7 +168,7 @@ class durable_tree {
     // The commit sketch spans append -> durable ack: what a caller
     // actually waits for (group-commit parking included), not just the
     // fsync syscall the WAL times separately.
-    [[maybe_unused]] const std::uint64_t t0 = metrics::tsc_now();
+    const std::uint64_t t0 = metrics::tsc_now();
     const lsn_t lsn = wal_->append(op, &key, sizeof(T));
     if (opts_.wal.sync == fsync_policy::every_commit) {
       wal_->wait_durable(lsn);

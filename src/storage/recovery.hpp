@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "common/failpoint.hpp"
-#include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "skiptree/serialize.hpp"
 #include "storage/checkpoint.hpp"
@@ -149,7 +148,6 @@ recovery_result<T> recover(const std::string& dir, bool repair = true) {
           apply(lsn, op, p, n);
           out.last_lsn = lsn;
           ++out.replayed;
-          LFST_M_COUNT(::lfst::metrics::cid::storage_replay_records);
         });
     ++out.segments_scanned;
     if (!scan.header_ok) {

@@ -161,8 +161,7 @@ inline void fsync_directory(const std::string& dir) {
   }
 }
 
-/// Always-on WAL statistics (plain atomics; the metrics registry mirrors
-/// them in -DLFST_METRICS builds).
+/// Always-on WAL statistics (plain atomics).
 struct wal_stats {
   std::uint64_t appends = 0;
   std::uint64_t bytes_appended = 0;
@@ -187,7 +186,6 @@ class wal {
     std::lock_guard<std::mutex> g(io_mu_);
     open_segment_locked(next_lsn);
     flusher_ = std::thread([this] { flusher_main(); });
-#if defined(LFST_TELEMETRY)
     // Publish the flusher gauges into the telemetry plane.  Columns are
     // append-only by name, so per-trial WAL instances (benches) reuse the
     // same schema slots.  The source reads atomics only -- safe against
@@ -205,7 +203,6 @@ class wal {
           v[3] = static_cast<double>(s.fsyncs);
           v[4] = static_cast<double>(s.rotations);
         });
-#endif
   }
 
   wal(const wal&) = delete;
@@ -234,9 +231,6 @@ class wal {
       appends_.fetch_add(1, std::memory_order_relaxed);
       bytes_appended_.fetch_add(kRecordHeaderBytes + len,
                                 std::memory_order_relaxed);
-      LFST_M_COUNT(::lfst::metrics::cid::storage_wal_appends);
-      LFST_M_ADD(::lfst::metrics::cid::storage_wal_bytes,
-                 kRecordHeaderBytes + len);
       work_pending_.store(true, std::memory_order_release);
       wake_flusher();
       return lsn;
@@ -287,7 +281,6 @@ class wal {
     file_ = nullptr;
     open_segment_locked(sealed + 1);
     rotations_.fetch_add(1, std::memory_order_relaxed);
-    LFST_M_COUNT(::lfst::metrics::cid::storage_wal_rotations);
     return sealed;
   }
 
@@ -514,16 +507,12 @@ class wal {
     }
     std::fflush(file_);
     LFST_FP_POINT("storage.wal.fsync");
-    [[maybe_unused]] const std::uint64_t t0 = metrics::tsc_now();
+    const std::uint64_t t0 = metrics::tsc_now();
     ::fsync(::fileno(file_));
-    [[maybe_unused]] const std::uint64_t dt = metrics::tsc_now() - t0;
+    const std::uint64_t dt = metrics::tsc_now() - t0;
     // Low-rate path: the telemetry sketches record every fsync unsampled.
     LFST_TEL_RECORD(::lfst::telemetry::skid::wal_fsync, dt);
     LFST_TEL_RECORD(::lfst::telemetry::skid::wal_batch, unsynced_records_);
-    LFST_M_HIST(::lfst::metrics::hid::storage_fsync_ticks, dt);
-    LFST_M_HIST(::lfst::metrics::hid::storage_commit_batch,
-                unsynced_records_);
-    LFST_M_COUNT(::lfst::metrics::cid::storage_wal_fsyncs);
     fsyncs_.fetch_add(1, std::memory_order_relaxed);
     unsynced_records_ = 0;
     last_sync_ = std::chrono::steady_clock::now();
@@ -589,11 +578,9 @@ class wal {
   std::atomic<std::uint64_t> fsyncs_{0};
   std::atomic<std::uint64_t> rotations_{0};
 
-#if defined(LFST_TELEMETRY)
   // Last member on purpose: destroyed first, so the aggregator can no
   // longer call our fill lambda while the rest of the WAL tears down.
   telemetry::scoped_source tel_source_;
-#endif
 };
 
 // --- segment replay ----------------------------------------------------------

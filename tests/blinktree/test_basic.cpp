@@ -138,5 +138,20 @@ TEST(BlinkTreeBasic, PaperDefaultParameterM128) {
   EXPECT_EQ(t.count_keys(), 5000u);
 }
 
+TEST(BlinkTreeBasic, SplitCountersAccountForEverySplit) {
+  blink_tree_options o;
+  o.min_node_size = 128;  // small nodes so a modest load forces splits
+  blink_tree<long> t(o);
+  for (long k = 0; k < 5000; ++k) t.add(k);
+  const split_stats s = t.stats();
+  EXPECT_GT(s.splits, 0u);
+  EXPECT_GT(s.root_splits, 0u);
+  EXPECT_EQ(s.deferred_splits, 0u);
+  EXPECT_EQ(s.half_splits_left, 0u);
+  // Single-threaded and without OOM, every non-root split is repaired into
+  // its parent immediately.
+  EXPECT_EQ(s.half_split_repairs, s.splits - s.root_splits);
+}
+
 }  // namespace
 }  // namespace lfst::blinktree

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <thread>
 #include <vector>
 
@@ -169,6 +170,31 @@ TEST(BlinkTreeConcurrent, IterationSortedUnderChurn) {
   churn.join();
   reader.join();
   EXPECT_EQ(violations.load(), 0);
+}
+
+TEST(BlinkTreeConcurrent, ContendedSplitAccountingStaysConsistent) {
+  blink_tree<long> t(small_nodes(64));
+  constexpr int kWriters = 4;
+  std::barrier sync(kWriters);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWriters; ++w) {
+    workers.emplace_back([&t, &sync, w] {
+      sync.arrive_and_wait();
+      // Disjoint but interleaved key stripes: all threads split leaves at
+      // the same time, racing on shared parents.
+      for (long i = 0; i < 8000; ++i) t.add(i * kWriters + w);
+    });
+  }
+  for (auto& th : workers) th.join();
+  const split_stats s = t.stats();
+  EXPECT_GT(s.splits, 0u);
+  EXPECT_GE(s.root_splits, 1u);
+  EXPECT_GT(s.half_split_repairs, 0u);
+  // Every split is accounted exactly once no matter the interleaving: a
+  // root raise, a repaired half-split, or a half-split abandoned on OOM.
+  EXPECT_EQ(s.half_split_repairs + s.half_splits_left,
+            s.splits - s.root_splits);
+  EXPECT_EQ(t.count_keys(), static_cast<std::size_t>(kWriters) * 8000);
 }
 
 }  // namespace

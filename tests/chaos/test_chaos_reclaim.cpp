@@ -120,6 +120,7 @@ churn_outcome churn_with_pinned_reader(reclaim::ebr_domain& domain,
   wopts.interval = std::chrono::milliseconds(1);
   wopts.stall_age = std::chrono::milliseconds(50);
   wopts.eviction_grace = std::chrono::milliseconds(50);
+  wopts.quarantine = true;
   reclaim::reclaim_watchdog dog(domain, wopts);
 
   pinned_reader reader(domain, &tree);
@@ -263,6 +264,7 @@ TEST(ChaosReclaim, DegradedModeFreesThroughHazardDomain) {
     reclaim::stall_params p;
     p.now_tsc = now;
     p.min_epoch_lag = 1;
+    p.quarantine = true;
     return domain.stall_tick(p);
   };
   std::uint64_t now = 0;

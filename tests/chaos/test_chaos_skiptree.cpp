@@ -42,15 +42,10 @@
 #include <vector>
 
 #include "common/failpoint.hpp"
-#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "skiptree/health.hpp"
 #include "skiptree/skip_tree.hpp"
 #include "skiptree/validate.hpp"
-
-#if defined(LFST_METRICS)
-#include "common/metrics_export.hpp"
-#endif
 
 namespace lfst::skiptree {
 namespace {
@@ -91,9 +86,6 @@ struct schedule {
 
 void arm(const schedule& s) {
   registry::instance().reset_all();
-  // Start each schedule from a clean metrics slate so the post-run dump
-  // attributes every count to this fault family alone.
-  metrics::registry::instance().reset();
   if (s.oom) {
     for (const char* site : kAllocSites) {
       registry::instance().configure(
@@ -208,14 +200,11 @@ void run_schedule(const schedule& sched) {
       100.0 * last.empty_fraction(), last.suboptimal_refs,
       last.occupancy_pct());
 
-#if defined(LFST_METRICS)
   // Post-mortem view of what the fault schedule actually perturbed: retry
-  // storms, skipped compactions, EBR lag.  Threads have joined, so the
-  // aggregation is exact.
-  std::printf("--- metrics after schedule '%s' ---\n%s\n", sched.name,
-              metrics::to_table(metrics::registry::instance().aggregate())
-                  .c_str());
-#endif
+  // storms, skipped compactions.  Threads have joined, so the per-tree
+  // counters are exact.
+  std::printf("--- counters after schedule '%s' ---\n%s\n", sched.name,
+              skip_tree_inspector<int>(tree).metrics_text().c_str());
 
   std::set<int> expected;
   for (const auto& m : mirrors) expected.insert(m.begin(), m.end());

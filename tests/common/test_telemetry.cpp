@@ -1,6 +1,7 @@
 // Tests for the always-on telemetry plane: sketches, gauge sources, the
-// snapshot ring, exporters, the background aggregator, and the sampled op
-// timer.  The plane is a process-wide singleton whose schema is append-only
+// snapshot ring, the background aggregator, and the sampled op timer --
+// plus the sidecar's JSON-lines emitters (the plane's export and the span
+// ring's Chrome lines), which every record must pass a strict parser.  The plane is a process-wide singleton whose schema is append-only
 // by design, so tests assert containment (my series is there with my value)
 // rather than exact schema shapes, and reset() the sketch/ring state at
 // each test head.
@@ -10,12 +11,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/trace.hpp"
 
 namespace lfst::telemetry {
 namespace {
@@ -43,7 +50,13 @@ TEST(Telemetry, SketchRecordAndSnapshot) {
 }
 
 TEST(Telemetry, TicksPerUsIsCalibratedAndPositive) {
-  const double tpu = plane::instance().ticks_per_us();
+  // The schema line carries the calibration the exported microseconds
+  // were divided by.
+  const std::string json = plane::instance().to_json_lines();
+  const std::string key = "\"ticks_per_us\":";
+  const std::size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const double tpu = std::stod(json.substr(at + key.size()));
   EXPECT_GT(tpu, 0.0);
   EXPECT_TRUE(std::isfinite(tpu));
 }
@@ -129,24 +142,6 @@ TEST(Telemetry, JsonLinesStructure) {
   EXPECT_NE(
       json.find("\"name\":\"storage.wal.fsync\",\"count\":1"),
       std::string::npos);
-}
-
-TEST(Telemetry, PrometheusExposition) {
-  auto& p = plane::instance();
-  p.reset();
-  p.record(skid::wal_batch, 8);  // raw-unit sketch: family has no _us
-  p.snapshot_now();
-  const std::string text = p.to_prometheus();
-  EXPECT_NE(text.find("# TYPE lfst_op_add_us summary"), std::string::npos);
-  EXPECT_NE(text.find("lfst_op_add_us{quantile=\"0.99\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("lfst_op_add_us_count"), std::string::npos);
-  EXPECT_NE(text.find("lfst_op_add_us_sum"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE lfst_storage_wal_batch summary"),
-            std::string::npos);
-  EXPECT_NE(text.find("lfst_storage_wal_batch_count 1"), std::string::npos);
-  // Latest-sample gauges: sketch count columns are never NaN.
-  EXPECT_NE(text.find("# TYPE lfst_op_add_count gauge"), std::string::npos);
 }
 
 TEST(Telemetry, AggregatorTakesPeriodicSamples) {
@@ -245,12 +240,6 @@ TEST(Telemetry, OpTimerRecordsFromFreshThread) {
   EXPECT_EQ(s.count, before + 1);
 }
 
-TEST(Telemetry, SampleStrideIsClampedAndCached) {
-  const unsigned s = sample_stride();
-  EXPECT_GE(s, 1u);
-  EXPECT_LE(s, 1u << 20);
-}
-
 TEST(Telemetry, ScopedSourceMoveTransfersOwnership) {
   auto& p = plane::instance();
   p.reset();
@@ -263,6 +252,263 @@ TEST(Telemetry, ScopedSourceMoveTransfersOwnership) {
   ASSERT_FALSE(samples.empty());
   EXPECT_DOUBLE_EQ(samples.back().values[column_of("test.move.v")], 7.0);
   // a and b are empty shells now; their destruction must not unregister c.
+}
+
+// --- sidecar emitters ---------------------------------------------------------
+
+
+// Minimal RFC 8259 recursive-descent parser, just enough to *strictly*
+// validate the exporters' output (substring checks would accept broken
+// quoting).  Accepts exactly one JSON value; rejects trailing bytes,
+// bad escapes, bare control characters and malformed numbers.
+namespace json8259 {
+
+struct cursor {
+  const std::string& s;
+  std::size_t i = 0;
+  bool eof() const { return i >= s.size(); }
+  char peek() const { return s[i]; }
+  bool eat(char c) {
+    if (eof() || s[i] != c) return false;
+    ++i;
+    return true;
+  }
+  void ws() {
+    while (!eof() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
+                      s[i] == '\r')) {
+      ++i;
+    }
+  }
+};
+
+bool value(cursor& c);  // forward
+
+bool string(cursor& c) {
+  if (!c.eat('"')) return false;
+  while (!c.eof()) {
+    const unsigned char ch = static_cast<unsigned char>(c.s[c.i]);
+    if (ch == '"') {
+      ++c.i;
+      return true;
+    }
+    if (ch < 0x20) return false;  // raw control char: must be escaped
+    if (ch == '\\') {
+      ++c.i;
+      if (c.eof()) return false;
+      const char e = c.s[c.i];
+      if (e == '"' || e == '\\' || e == '/' || e == 'b' || e == 'f' ||
+          e == 'n' || e == 'r' || e == 't') {
+        ++c.i;
+      } else if (e == 'u') {
+        ++c.i;
+        for (int k = 0; k < 4; ++k) {
+          if (c.eof() || !std::isxdigit(static_cast<unsigned char>(c.peek())))
+            return false;
+          ++c.i;
+        }
+      } else {
+        return false;
+      }
+    } else {
+      ++c.i;
+    }
+  }
+  return false;  // unterminated
+}
+
+bool number(cursor& c) {
+  c.eat('-');
+  if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek())))
+    return false;
+  if (c.peek() == '0') {
+    ++c.i;
+  } else {
+    while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek())))
+      ++c.i;
+  }
+  if (!c.eof() && c.peek() == '.') {
+    ++c.i;
+    if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek())))
+      return false;
+    while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek())))
+      ++c.i;
+  }
+  if (!c.eof() && (c.peek() == 'e' || c.peek() == 'E')) {
+    ++c.i;
+    if (!c.eof() && (c.peek() == '+' || c.peek() == '-')) ++c.i;
+    if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek())))
+      return false;
+    while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek())))
+      ++c.i;
+  }
+  return true;
+}
+
+bool object(cursor& c) {
+  if (!c.eat('{')) return false;
+  c.ws();
+  if (c.eat('}')) return true;
+  while (true) {
+    c.ws();
+    if (!string(c)) return false;
+    c.ws();
+    if (!c.eat(':')) return false;
+    c.ws();
+    if (!value(c)) return false;
+    c.ws();
+    if (c.eat('}')) return true;
+    if (!c.eat(',')) return false;
+  }
+}
+
+bool array(cursor& c) {
+  if (!c.eat('[')) return false;
+  c.ws();
+  if (c.eat(']')) return true;
+  while (true) {
+    c.ws();
+    if (!value(c)) return false;
+    c.ws();
+    if (c.eat(']')) return true;
+    if (!c.eat(',')) return false;
+  }
+}
+
+bool literal(cursor& c, const char* lit) {
+  const std::size_t n = std::char_traits<char>::length(lit);
+  if (c.s.compare(c.i, n, lit) != 0) return false;
+  c.i += n;
+  return true;
+}
+
+bool value(cursor& c) {
+  if (c.eof()) return false;
+  switch (c.peek()) {
+    case '{':
+      return object(c);
+    case '[':
+      return array(c);
+    case '"':
+      return string(c);
+    case 't':
+      return literal(c, "true");
+    case 'f':
+      return literal(c, "false");
+    case 'n':
+      return literal(c, "null");
+    default:
+      return number(c);
+  }
+}
+
+// True iff `line` is exactly one valid JSON value with nothing after it.
+bool parses(const std::string& line) {
+  cursor c{line};
+  c.ws();
+  if (!value(c)) return false;
+  c.ws();
+  return c.eof();
+}
+
+}  // namespace json8259
+
+TEST(Export, ParserSelfCheck) {
+  // The validator must be strict enough to matter.
+  EXPECT_TRUE(json8259::parses(R"({"a":1,"b":[true,null,"x\n"],"c":-0.5e3})"));
+  EXPECT_TRUE(json8259::parses(R"({"u":"\u00e9"})"));
+  EXPECT_FALSE(json8259::parses(R"({"a":1)"));          // unterminated object
+  EXPECT_FALSE(json8259::parses(R"({"a":01})"));        // leading zero
+  EXPECT_FALSE(json8259::parses(R"({"a":1} trailing)"));
+  EXPECT_FALSE(json8259::parses("{\"a\":\"\x01\"}"));   // raw control char
+  EXPECT_FALSE(json8259::parses(R"({"a":"\q"})"));      // bad escape
+  EXPECT_FALSE(json8259::parses(R"({"a" 1})"));         // missing colon
+}
+
+std::vector<trace::span_record> every_span_kind() {
+  std::vector<trace::span_record> spans;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(trace::sid::kCount);
+       ++i) {
+    const auto id = static_cast<trace::sid>(i);
+    const std::uint64_t t0 = 1000 + 10 * i;
+    spans.push_back(trace::span_record{id, t0,
+                                       trace::is_event(id) ? t0 : t0 + 5,
+                                       1, 2, i % 3, i * 7});
+  }
+  return spans;
+}
+
+TEST(Export, JsonLinesAreWellFormedObjects) {
+  const std::string lines = trace::to_chrome_lines(every_span_kind(), 2.0);
+  std::istringstream is(lines);
+  std::string line;
+  bool saw_span = false, saw_event = false;
+  while (std::getline(is, line)) {
+    ASSERT_FALSE(line.empty());
+    EXPECT_EQ(line.front(), '{');
+    EXPECT_EQ(line.back(), '}');
+    EXPECT_NE(line.find("\"type\":\"span\""), std::string::npos);
+    if (line.find("\"skiptree.add\"") != std::string::npos) {
+      saw_span = true;
+      EXPECT_NE(line.find("\"retries\":1,\"depth\":2"), std::string::npos);
+    }
+    if (line.find("\"skiptree.split\"") != std::string::npos) {
+      saw_event = true;
+      EXPECT_NE(line.find("\"dur\":0"), std::string::npos);
+      EXPECT_NE(line.find("\"payload\":"), std::string::npos);
+    }
+  }
+  EXPECT_TRUE(saw_span);
+  EXPECT_TRUE(saw_event);
+}
+
+TEST(Export, WriteJsonFileRoundTrips) {
+  auto& p = plane::instance();
+  p.reset();
+  p.record(skid::checkpoint, 77);
+  const std::string path =
+      ::testing::TempDir() + "test_telemetry_sidecar.jsonl";
+  ASSERT_TRUE(p.write_json_file(path));
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::string contents((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  // Same records as the in-memory export (values like ticks_per_us are
+  // re-measured per export, so compare shape, not bytes).
+  const std::string again = p.to_json_lines();
+  EXPECT_EQ(std::count(contents.begin(), contents.end(), '\n'),
+            std::count(again.begin(), again.end(), '\n'));
+  EXPECT_EQ(contents.rfind("{\"type\":\"telemetry_schema\"", 0), 0u);
+  EXPECT_NE(contents.find("\"name\":\"storage.checkpoint\",\"count\":1"),
+            std::string::npos);
+  in.close();
+  std::remove(path.c_str());
+}
+
+TEST(Export, EveryJsonLineSurvivesAStrictParser) {
+  auto& p = plane::instance();
+  p.reset();
+  // Populate every emit path: every sketch, a gauge source whose series
+  // name needs escaping, a snapshot, and one span of every kind.
+  for (std::size_t i = 0; i < kSketchCount; ++i) {
+    p.record(static_cast<skid>(i), 1);
+    p.record(static_cast<skid>(i), 1u << 20);
+  }
+  scoped_source src("test.\"quoted\\name", {"v"},
+                    [](double* v) { v[0] = 2.5; });
+  p.snapshot_now();
+  const std::string json =
+      p.to_json_lines() + trace::to_chrome_lines(every_span_kind(), 1.5);
+  std::istringstream is(json);
+  std::string line;
+  std::size_t lines = 0, spans = 0;
+  while (std::getline(is, line)) {
+    ++lines;
+    EXPECT_TRUE(json8259::parses(line))
+        << "line " << lines << " is not valid JSON: " << line;
+    if (line.find("\"type\":\"span\"") != std::string::npos) ++spans;
+  }
+  EXPECT_EQ(spans, static_cast<std::size_t>(trace::sid::kCount));
+  EXPECT_NE(json.find("test.\\\"quoted\\\\name.v"), std::string::npos);
 }
 
 }  // namespace

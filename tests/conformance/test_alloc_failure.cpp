@@ -192,6 +192,8 @@ TEST(AllocFailureConformance, BlinkTreeDeferredSplitsRecover) {
     A::disarm();
   }
   EXPECT_GT(mirror.size(), 0u);
+  EXPECT_GT(t.stats().deferred_splits, 0u);
+  EXPECT_EQ(t.stats().splits, 0u);
   for (int k : mirror) ASSERT_TRUE(t.contains(k)) << k;
   // With allocation healthy again, the structure resumes splitting.
   for (int k = 200; k < 400; ++k) {
@@ -200,6 +202,7 @@ TEST(AllocFailureConformance, BlinkTreeDeferredSplitsRecover) {
   }
   for (int k : mirror) ASSERT_TRUE(t.contains(k)) << k;
   EXPECT_EQ(t.size(), mirror.size());
+  EXPECT_GT(t.stats().splits, 0u);
 }
 
 TEST(AllocFailureConformance, SkipTree) {

@@ -235,6 +235,7 @@ TEST(EbrThreads, ChurnWavesReuseDeadSlotsWithCleanFlags) {
     stall_params p;
     p.now_tsc = (now += 1000);
     p.min_epoch_lag = 1;
+    p.quarantine = true;
     d.stall_tick(p);
     for (auto& t : workers) t.join();
   }

@@ -271,6 +271,7 @@ TEST(Watchdog, ThreadDetectsInjectedStallWithinBoundedTicks) {
   opts.interval = std::chrono::milliseconds(1);
   opts.stall_age = std::chrono::milliseconds(2);
   opts.eviction_grace = std::chrono::milliseconds(2);
+  opts.quarantine = true;
   reclaim_watchdog dog(d, opts);
 
   parked_reader reader(d);
@@ -304,6 +305,50 @@ TEST(Watchdog, ThreadDetectsInjectedStallWithinBoundedTicks) {
   }
   EXPECT_TRUE(saw_stall);
   EXPECT_TRUE(saw_quarantine);
+}
+
+TEST(Watchdog, DefaultOptionsNeverQuarantineAPinnedReader) {
+  // Quarantine is opt-in: a default-constructed watchdog may flag a stalled
+  // reader for cooperative eviction, but must never declare it failed --
+  // the reader may still hold pointers into limbo.
+  ebr_domain d;
+  d.set_escape_domain(nullptr);
+  watchdog_options opts;
+  EXPECT_FALSE(opts.quarantine);
+  EXPECT_FALSE(stall_params{}.quarantine);
+  opts.interval = std::chrono::milliseconds(1);
+  opts.stall_age = std::chrono::milliseconds(1);
+  opts.eviction_grace = std::chrono::milliseconds(1);
+  reclaim_watchdog dog(d, opts);
+
+  parked_reader reader(d);
+  {
+    ebr_domain::guard g(d);
+    for (int i = 0; i < 100; ++i) d.retire(new counted);
+  }
+  dog.start();
+  // Run until the stall has been seen on 20 ticks -- each one far past the
+  // 1 ms grace, where a quarantining watchdog would already have acted.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::size_t stalled_ticks = 0;
+  while (stalled_ticks < 20 && std::chrono::steady_clock::now() < deadline) {
+    { ebr_domain::guard g(d); }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    stalled_ticks = 0;
+    for (const watchdog_sample& s : dog.samples()) {
+      stalled_ticks += s.report.stalled > 0 ? 1 : 0;
+    }
+  }
+  dog.stop();
+  EXPECT_GE(stalled_ticks, 20u) << "the parked reader should be detected";
+  for (const watchdog_sample& s : dog.samples()) {
+    EXPECT_EQ(s.report.quarantined_now, 0u);
+    EXPECT_EQ(s.report.quarantined, 0u);
+  }
+  EXPECT_EQ(d.quarantined(), 0u);
+  reader.release();
+  d.flush();
 }
 
 TEST(Watchdog, QuietDomainProducesQuietSamples) {

@@ -155,26 +155,24 @@ TEST(Health, TickerCollectsSeriesUnderConcurrentChurn) {
   domain.flush();
 }
 
-#if defined(LFST_METRICS)
-TEST(Health, ProbeFeedsMetricsRegistry) {
-  metrics::registry::instance().reset();
+#if defined(LFST_TRACE)
+TEST(Health, ProbeRecordsOneSpan) {
   reclaim::ebr_domain domain;
   skip_tree<int> tree(skip_tree_options{}, domain);
   for (int k = 0; k < 256; ++k) tree.add(k);
   skip_tree_health<int> health(tree);
+  trace::trace_registry::instance().reset();
   health.probe();
-  const auto snap = metrics::registry::instance().aggregate();
-  EXPECT_EQ(
-      snap.histogram(metrics::hid::skiptree_health_backlog).count, 1u);
-  EXPECT_EQ(
-      snap.histogram(metrics::hid::skiptree_health_occupancy_pct).count, 1u);
-  bool saw_probe_event = false;
-  for (const auto& ev : metrics::registry::instance().drain_trace()) {
-    if (ev.id == metrics::eid::skiptree_health_probe) saw_probe_event = true;
+  std::size_t probes = 0;
+  for (const auto& s : trace::trace_registry::instance().drain()) {
+    if (s.id == trace::sid::health_probe) {
+      ++probes;
+      EXPECT_GE(s.t1, s.t0);
+    }
   }
-  EXPECT_TRUE(saw_probe_event);
+  EXPECT_EQ(probes, 1u);
 }
-#endif  // LFST_METRICS
+#endif  // LFST_TRACE
 
 }  // namespace
 }  // namespace lfst::skiptree

@@ -14,6 +14,7 @@
 #include "storage/checkpoint.hpp"
 #include "storage/recovery.hpp"
 #include "storage/wal.hpp"
+#include "scratch_dir.hpp"
 
 namespace lfst::storage {
 namespace {
@@ -23,14 +24,11 @@ namespace fs = std::filesystem;
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "recovery_test_scratch/" +
-           std::string(::testing::UnitTest::GetInstance()
-                           ->current_test_info()
-                           ->name());
+    dir_ = testing::test_scratch_dir();
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
-  void TearDown() override { fs::remove_all("recovery_test_scratch"); }
+  void TearDown() override { fs::remove_all(dir_); }
 
   /// Append adds for 1..n (value = i) and close cleanly.
   void write_simple_log(std::uint64_t n) {

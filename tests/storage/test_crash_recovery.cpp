@@ -51,6 +51,7 @@
 #include "skiptree/validate.hpp"
 #include "storage/durable_tree.hpp"
 #include "storage/recovery.hpp"
+#include "scratch_dir.hpp"
 
 namespace lfst::storage {
 namespace {
@@ -261,10 +262,10 @@ TEST(CrashRecovery, RandomizedKillPoints) {
       static_cast<std::uint64_t>(env_int("LFST_CRASH_SEED", 1009));
   int crashes = 0;      // children that died at an armed kill point
   int recoveries = 0;   // post-crash validations performed
+  const std::string root = testing::test_scratch_dir();
   for (int iter = 0; iter < kIters; ++iter) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(iter);
-    const std::string dir =
-        "crash_scratch/iter-" + std::to_string(iter);
+    const std::string dir = root + "/iter-" + std::to_string(iter);
     fs::remove_all(dir);
     fs::create_directories(dir);
 
@@ -326,7 +327,7 @@ TEST(CrashRecovery, RandomizedKillPoints) {
   // A run where no kill point ever fired exercised nothing; with the site
   // weights and skip_first range above this fires many times per run.
   EXPECT_GT(crashes, 0) << "no crash was ever injected";
-  fs::remove_all("crash_scratch");
+  fs::remove_all(root);
 }
 
 // Directed chain: force a crash INSIDE checkpoint rename on generation 0,
@@ -334,7 +335,7 @@ TEST(CrashRecovery, RandomizedKillPoints) {
 // bug would strand the directory unreadable.
 TEST(CrashRecovery, DirectedCheckpointAndRepairCrashes) {
   const std::uint64_t seed = 424243;
-  const std::string dir = "crash_scratch/directed";
+  const std::string dir = testing::test_scratch_dir();
   fs::remove_all(dir);
   fs::create_directories(dir);
   const char* forced[] = {"storage.checkpoint.rename",
@@ -364,7 +365,7 @@ TEST(CrashRecovery, DirectedCheckpointAndRepairCrashes) {
     if (HasFatalFailure()) return;
   }
   EXPECT_TRUE(clean);
-  fs::remove_all("crash_scratch");
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "skiptree/validate.hpp"
 #include "storage/durable_tree.hpp"
+#include "scratch_dir.hpp"
 
 namespace lfst::storage {
 namespace {
@@ -21,13 +22,10 @@ namespace fs = std::filesystem;
 class DurableTreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "durable_test_scratch/" +
-           std::string(::testing::UnitTest::GetInstance()
-                           ->current_test_info()
-                           ->name());
+    dir_ = testing::test_scratch_dir();
     fs::remove_all(dir_);
   }
-  void TearDown() override { fs::remove_all("durable_test_scratch"); }
+  void TearDown() override { fs::remove_all(dir_); }
   std::string dir_;
 };
 

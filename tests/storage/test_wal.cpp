@@ -12,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "storage/wal.hpp"
+#include "scratch_dir.hpp"
 
 namespace lfst::storage {
 namespace {
@@ -19,14 +20,11 @@ namespace {
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "wal_test_scratch/" +
-           std::string(::testing::UnitTest::GetInstance()
-                           ->current_test_info()
-                           ->name());
+    dir_ = testing::test_scratch_dir();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }
-  void TearDown() override { std::filesystem::remove_all("wal_test_scratch"); }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
   std::string dir_;
 };
 
@@ -286,7 +284,6 @@ TEST_F(WalTest, FlushLagTracksUndurableRecords) {
   EXPECT_EQ(log.flush_lag(), 0u);
 }
 
-#if defined(LFST_TELEMETRY)
 TEST_F(WalTest, FsyncAndBatchSketchesRecord) {
   // Each sync_locked() feeds two sketches: the fsync latency and the
   // batch size (records hardened by that fsync).  flush() after 3 appends
@@ -312,7 +309,6 @@ TEST_F(WalTest, FsyncAndBatchSketchesRecord) {
   EXPECT_GT(batch.count, batch_before);
   EXPECT_GE(batch.max, 3u);  // the flush hardened all three at once
 }
-#endif  // LFST_TELEMETRY
 
 TEST_F(WalTest, StatsCount) {
   wal log(dir_, 1);

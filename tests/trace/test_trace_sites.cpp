@@ -1,15 +1,18 @@
 // ON-only (-DLFST_TRACE) site coverage: the LFST_T_* annotations threaded
 // through the four structures, the pool, and EBR must actually record
-// spans with the right ids -- and the retry/step notes must land on the
-// *operation* spans that were live when the deep sites fired.
+// spans and events with the right ids -- the retry/step notes must land on
+// the *operation* spans that were live when the deep sites fired, and every
+// structural event must agree with the structure's exact counters.
 //
 // Each case quiesces (joins its threads) before draining, so counts are
 // exact; the per-thread rings hold 4096 spans each and every case stays
 // comfortably below that.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <barrier>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
@@ -89,9 +92,12 @@ TEST(SkipTreeSpans, ContentionChargesRetriesToMutationSpans) {
   reclaim::ebr_domain domain;
   skiptree::skip_tree<int> tree(skiptree::skip_tree_options{}, domain);
   constexpr int kThreads = 4;
-  // 2 spans per round per thread: stays well under the 4096-slot rings, so
-  // no retry-carrying span can be overwritten before the drain.
-  constexpr int kRounds = 1000;
+  // 2 spans per round per thread plus nested refill/advance spans and
+  // events.  A ring freed by an exiting thread is re-leased with its
+  // contents kept, so on a loaded host all four threads' records can land
+  // in one ring: 4 x ~850 stays under its 4096 slots, so no retry-carrying
+  // span can be overwritten before the drain.
+  constexpr int kRounds = 400;
   constexpr int kAttempts = 20;
 
   std::uint64_t failures_before = 0;
@@ -226,6 +232,80 @@ TEST(SubsystemSpans, NestedRefillStaysInsideOperationSpan) {
   }
   EXPECT_TRUE(found_nested)
       << "at least one refill should fire inside a traced add";
+}
+
+TEST(SkipTreeEvents, SplitsAndRootRaisesMatchCounters) {
+  trace_registry::instance().reset();
+  reclaim::ebr_domain domain;
+  skiptree::skip_tree_options o;
+  o.q_log2 = 2;  // narrow nodes: many splits and raises from few keys
+  skiptree::skip_tree<int> tree(o, domain);
+  for (int k = 0; k < 1000; ++k) tree.add(k);
+  const auto n = tally(trace_registry::instance().drain());
+  const auto stats = tree.stats();
+  EXPECT_GE(stats.splits, 1u);
+  EXPECT_GE(stats.root_raises, 1u);
+  EXPECT_EQ(at(n, sid::skiptree_split), stats.splits);
+  EXPECT_EQ(at(n, sid::skiptree_root_raise), stats.root_raises);
+}
+
+TEST(SkipTreeEvents, CompactionTransformsMatchCounters) {
+  // Emptying a tree that has real height drives the Fig. 8 transforms:
+  // every empty bypass (8a), reference repair (8b), duplicate drop (8c)
+  // and migration (8d) bumps its counter and records one event.
+  trace_registry::instance().reset();
+  reclaim::ebr_domain domain;
+  skiptree::skip_tree_options o;
+  o.q_log2 = 2;
+  skiptree::skip_tree<int> tree(o, domain);
+  for (int k = 0; k < 600; ++k) tree.add(k);
+  for (int k = 0; k < 600; ++k) tree.remove(k);
+  const auto n = tally(trace_registry::instance().drain());
+  const auto stats = tree.stats();
+  EXPECT_GT(stats.empty_bypasses, 0u);
+  EXPECT_EQ(at(n, sid::skiptree_compact_8a), stats.empty_bypasses);
+  EXPECT_EQ(at(n, sid::skiptree_compact_8b), stats.ref_repairs);
+  EXPECT_EQ(at(n, sid::skiptree_compact_8c), stats.duplicate_drops);
+  EXPECT_EQ(at(n, sid::skiptree_compact_8d), stats.migrations);
+}
+
+TEST(EbrEvents, AdvancesRecordTheNewEpoch) {
+  trace_registry::instance().reset();
+  reclaim::ebr_domain domain;
+  const std::uint64_t first = domain.stats().epoch;
+  {
+    skiptree::skip_tree<int> tree(skiptree::skip_tree_options{}, domain);
+    constexpr int kThreads = 4;
+    std::barrier sync(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&tree, &sync, t] {
+        sync.arrive_and_wait();
+        // Heavy retire traffic from every thread forces repeated epoch
+        // advances while other threads are pinned mid-operation.  Sized
+        // so all four threads' records fit one recycled ring (see above).
+        for (int i = 0; i < 300; ++i) {
+          const int k = t * 100000 + i;
+          tree.add(k);
+          tree.remove(k);
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+  }
+  const std::uint64_t last = domain.stats().epoch;
+  std::vector<std::uint64_t> epochs;
+  for (const span_record& s : trace_registry::instance().drain()) {
+    if (s.id == sid::ebr_new_epoch) epochs.push_back(s.payload);
+  }
+  ASSERT_GT(last, first);
+  // Each successful advance publishes exactly one epoch, so the events name
+  // every epoch in (first, last] once.
+  std::sort(epochs.begin(), epochs.end());
+  ASSERT_EQ(epochs.size(), last - first);
+  for (std::size_t i = 0; i < epochs.size(); ++i) {
+    EXPECT_EQ(epochs[i], first + 1 + i);
+  }
 }
 
 }  // namespace

@@ -36,22 +36,25 @@ documents name a kernel and the names differ; --ignore-kernel overrides for
 deliberate cross-kernel studies.  A document without the field (pre-kernel
 baselines) only warns.
 
---check-metrics validates a --metrics-json sidecar (the JSON-lines file
-benches write next to their bench JSON) instead of diffing throughput.
---require NAME fails unless a counter/gauge has a nonzero value (for a
-histogram, a nonzero sample count) -- use it to prove an instrumented
-path actually ran, e.g. that a contended run recorded a limbo-bytes
-high-watermark.  --require-under NAME=LIMIT additionally bounds the
-value: `--require-under ebr.limbo_bytes_hwm=1048576` fails the gate if
-retired memory ever piled past 1 MiB, which is how CI keeps the
-stall-tolerant reclamation cap honest on real workloads.
+--check-metrics validates a --telemetry-json sidecar (the JSON-lines file
+benches write next to their bench JSON; bench/bench_common.hpp) instead of
+diffing throughput.  Two record types carry gateable numbers:
 
-Telemetry sidecars (--telemetry-json, common/telemetry.hpp) are accepted
-by the same flag: every numeric field of a "sketch" summary line expands
-to a synthetic gauge named {sketch}.{field}, so latency quantiles gate
-exactly like counters -- `--require op.add.count` proves the add path
-was sampled, and `--require-under op.contains.p99_us=20000` fails the
-build when sampled contains latency blows past 20 ms at p99.
+  * the closing "counters" line: every name in its "values" map is a
+    metric (ebr.limbo_bytes_hwm, skiptree.cas_failures,
+    storage.wal.appends, ...);
+  * "sketch" summary lines: every numeric field expands to a metric named
+    {sketch}.{field} (op.add.count, op.contains.p99_us,
+    storage.wal.batch.p99, ...).
+
+--require NAME fails unless the metric exists with a nonzero value -- use
+it to prove an instrumented path actually ran, e.g. that a contended run
+lost CAS races (skiptree.cas_failures) or that the add path was sampled
+(op.add.count).  --require-under NAME=LIMIT additionally bounds the
+value: `--require-under ebr.limbo_bytes_hwm=1048576` fails the gate if
+retired memory ever piled past 1 MiB, and `--require-under
+op.contains.p99_us=20000` fails the build when sampled contains latency
+blows past 20 ms at p99.
 
 Exit status: 0 clean, 1 regression/check failure (or self-test logic
 failure), 2 usage.
@@ -145,14 +148,11 @@ def diff(base, cand, threshold, noise_sigma, normalize, out=sys.stdout):
 
 
 def load_metrics(path):
-    """Parse a JSON-lines metrics/telemetry sidecar into {name: record}.
+    """Parse a --telemetry-json sidecar into {metric name: value}.
 
-    Counters and gauges carry "value"; histograms carry "count"/"sum".
-    Telemetry "sketch" summaries expand into one synthetic gauge per
-    numeric field, named {sketch}.{field} (op.add.p99_us, op.add.count,
-    storage.wal.batch.p99, ...), so quantiles gate like any metric.
-    Later lines win on a name collision (a process that dumps twice
-    leaves its final snapshot last).
+    The "counters" line contributes each of its values; each "sketch"
+    summary contributes one metric per numeric field, named
+    {sketch}.{field}.  Later lines win on a name collision.
     """
     by_name = {}
     total = 0
@@ -164,28 +164,18 @@ def load_metrics(path):
             rec = json.loads(line)
             total += 1
             kind = rec.get("type")
-            if kind in ("counter", "histogram", "gauge"):
-                by_name[rec["name"]] = rec
+            if kind == "counters":
+                by_name.update(rec.get("values", {}))
             elif kind == "sketch":
                 stem = rec.get("name", "sketch")
                 for field, v in rec.items():
                     if field in ("type", "name"):
                         continue
                     if isinstance(v, (int, float)) and v == v:
-                        by_name[f"{stem}.{field}"] = {
-                            "type": "gauge",
-                            "name": f"{stem}.{field}",
-                            "value": v,
-                        }
+                        by_name[f"{stem}.{field}"] = v
     if total == 0:
         raise SystemExit(f"bench_gate: metrics sidecar {path} is empty")
     return by_name, total
-
-
-def metric_value(rec):
-    if rec["type"] == "histogram":
-        return rec.get("count", 0)
-    return rec.get("value", 0)
 
 
 def check_metrics(path, require, require_under, out=sys.stdout):
@@ -195,31 +185,31 @@ def check_metrics(path, require, require_under, out=sys.stdout):
           f"{len(by_name)} named metrics in {path}", file=out)
     failures = 0
     for name in require:
-        rec = by_name.get(name)
-        if rec is None:
+        value = by_name.get(name)
+        if value is None:
             failures += 1
             print(f"  MISSING  {name}: not in sidecar", file=out)
-        elif metric_value(rec) <= 0:
+        elif value <= 0:
             failures += 1
             print(f"  ZERO     {name}: present but never recorded", file=out)
         else:
-            print(f"  ok       {name} = {metric_value(rec)}", file=out)
+            print(f"  ok       {name} = {value}", file=out)
     for spec in require_under:
         name, sep, limit = spec.rpartition("=")
         if not sep:
             raise SystemExit(
                 f"bench_gate: --require-under wants NAME=LIMIT, got {spec!r}")
         limit = float(limit)
-        rec = by_name.get(name)
-        if rec is None:
+        value = by_name.get(name)
+        if value is None:
             failures += 1
             print(f"  MISSING  {name}: not in sidecar", file=out)
-        elif metric_value(rec) > limit:
+        elif value > limit:
             failures += 1
-            print(f"  EXCEEDED {name} = {metric_value(rec)} "
+            print(f"  EXCEEDED {name} = {value} "
                   f"> limit {limit:g}", file=out)
         else:
-            print(f"  ok       {name} = {metric_value(rec)} "
+            print(f"  ok       {name} = {value} "
                   f"<= {limit:g}", file=out)
     print(f"bench_gate: {failures} metric requirement(s) failed", file=out)
     return failures
@@ -261,15 +251,22 @@ def self_test(base, threshold, noise_sigma):
         f.write(json.dumps({"type": "sketch", "name": "op.add",
                             "count": 42, "p50_us": 1.5, "p99_us": 12.0,
                             "max_us": 30.0, "mean_us": 2.0}) + "\n")
-        f.write(json.dumps({"type": "counter", "name": "tree.cas_failures",
-                            "value": 7}) + "\n")
+        f.write(json.dumps({"type": "counters",
+                            "values": {"skiptree.cas_failures": 7,
+                                       "ebr.limbo_bytes_hwm": 4096}}) + "\n")
         sketch_path = f.name
     try:
         passed = check_metrics(sketch_path,
-                               ["op.add.count", "tree.cas_failures"],
-                               ["op.add.p99_us=100"], out=sink) == 0
+                               ["op.add.count", "skiptree.cas_failures"],
+                               ["op.add.p99_us=100",
+                                "ebr.limbo_bytes_hwm=67108864"],
+                               out=sink) == 0
         tripped = check_metrics(sketch_path, [],
                                 ["op.add.p99_us=1"], out=sink) == 1
+        capped = check_metrics(sketch_path, [],
+                               ["ebr.limbo_bytes_hwm=1024"], out=sink) == 1
+        missing = check_metrics(sketch_path, ["op.remove.count"], [],
+                                out=sink) == 1
     finally:
         os.unlink(sketch_path)
     if not passed:
@@ -279,10 +276,17 @@ def self_test(base, threshold, noise_sigma):
         print("bench_gate self-test: FAIL "
               "(p99 over --require-under limit slipped through)")
         return 1
+    if not capped:
+        print("bench_gate self-test: FAIL "
+              "(counter over --require-under limit slipped through)")
+        return 1
+    if not missing:
+        print("bench_gate self-test: FAIL (missing metric not reported)")
+        return 1
 
     print("bench_gate self-test: OK "
           "(clean run passes, 20% synthetic regression fails, "
-          "kernel mismatch refused, sketch quantiles gate)")
+          "kernel mismatch refused, sketch quantiles and counters gate)")
     return 0
 
 
@@ -309,11 +313,11 @@ def main():
                     help="verify the gate trips on a synthetic 20%% "
                          "regression and passes a clean self-compare")
     ap.add_argument("--check-metrics", metavar="PATH",
-                    help="validate a --metrics-json sidecar instead of "
+                    help="validate a --telemetry-json sidecar instead of "
                          "(or alongside) a throughput diff")
     ap.add_argument("--require", nargs="+", default=[], metavar="NAME",
                     help="sidecar metrics that must exist with a nonzero "
-                         "value (histograms: nonzero sample count)")
+                         "value")
     ap.add_argument("--require-under", nargs="+", default=[],
                     metavar="NAME=LIMIT",
                     help="sidecar metrics that must exist and stay at or "

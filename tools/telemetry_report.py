@@ -9,15 +9,19 @@ JSON records distinguished by their "type" field:
   telemetry_sample   one aggregator snapshot: seq, t_ms, {series: value}
   sketch             latency-sketch summary: count, p50/p90/p99/p999/max/mean
   heatmap            CAS-contention heatmap: total, per-level bucket rows
+  counters           exact counts: {"values": {name: count}}
+  span               one Chrome trace_event (ph "X"; LFST_TRACE builds)
   meta               free-form key/value (e.g. the selected search kernel)
 
-The report has three parts:
+The report has five parts:
 
   * a latency table, one row per non-empty sketch;
+  * the non-zero exact counters;
   * one attribution table per heatmap record -- per-level failure totals,
     each level's share of all failures, and how concentrated the level's
     failures are in its hottest address bucket (high concentration = a
     few specific nodes, e.g. the root group's payload; low = spread);
+  * a span summary: count, total duration and charged retries per name;
   * ASCII sparklines of the sampled time series (--series to select,
     default picks a few interesting ones that actually vary).
 
@@ -26,9 +30,14 @@ attaches the tree's counter), the report re-checks the attribution
 invariant -- bucket totals must equal the counter exactly -- and exits 1
 on mismatch, same as the harness itself.
 
+``--perfetto OUT`` also writes the span lines as one Chrome/Perfetto
+``trace_event`` document (open it at https://ui.perfetto.dev or
+chrome://tracing).
+
 Usage:
   tools/telemetry_report.py telemetry.jsonl
   tools/telemetry_report.py telemetry.jsonl --series op.contains.p99_us
+  tools/telemetry_report.py telemetry.jsonl --perfetto trace.json
   tools/telemetry_report.py --self-test
 
 Stdlib only; no third-party dependencies.
@@ -37,6 +46,8 @@ Stdlib only; no third-party dependencies.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -58,6 +69,8 @@ class Sidecar:
         self.samples: List[Dict] = []
         self.sketches: List[Dict] = []
         self.heatmaps: List[Dict] = []
+        self.counters: Dict[str, int] = {}
+        self.spans: List[Dict] = []
         self.meta: List[Dict] = []
         self.skipped_lines = 0
 
@@ -82,6 +95,10 @@ def parse_sidecar(lines: Sequence[str]) -> Sidecar:
             out.sketches.append(rec)
         elif kind == "heatmap":
             out.heatmaps.append(rec)
+        elif kind == "counters":
+            out.counters.update(rec.get("values", {}))
+        elif kind == "span":
+            out.spans.append(rec)
         elif kind == "meta":
             out.meta.append(rec)
         else:
@@ -189,6 +206,40 @@ def report_heatmap(rec: Dict) -> Tuple[str, bool]:
     return "\n".join(lines) + "\n", ok
 
 
+def report_counters(counters: Dict[str, int]) -> str:
+    rows = [[name, str(v)] for name, v in sorted(counters.items()) if v]
+    if not rows:
+        return "counters: all zero\n"
+    return "counters:\n" + render_table(["counter", "value"], rows) + "\n"
+
+
+def report_spans(spans: Sequence[Dict]) -> str:
+    if not spans:
+        return "spans: none (build with -DLFST_TRACE=ON to record them)\n"
+    by_name: Dict[str, List[float]] = {}
+    for s in spans:
+        agg = by_name.setdefault(s.get("name", "?"), [0, 0.0, 0])
+        agg[0] += 1
+        agg[1] += float(s.get("dur", 0))
+        agg[2] += int(s.get("args", {}).get("retries", 0))
+    rows = [[name, str(n), fmt_num(dur), str(retries)]
+            for name, (n, dur, retries) in sorted(by_name.items())]
+    return ("spans (durations in us):\n" +
+            render_table(["span", "count", "total dur", "retries"], rows) +
+            "\n")
+
+
+def perfetto_document(spans: Sequence[Dict]) -> Dict:
+    """The span lines as one Chrome trace_event document."""
+    events = [{k: v for k, v in s.items() if k != "type"} for s in spans]
+    return {"traceEvents": events, "displayTimeUnit": "ns"}
+
+
+def write_perfetto(spans: Sequence[Dict], path: str) -> None:
+    with open(path, "w") as f:
+        json.dump(perfetto_document(spans), f, separators=(",", ":"))
+
+
 def sparkline(values: Sequence[float]) -> str:
     vals = [v for v in values if v == v]
     if not vals:
@@ -264,10 +315,12 @@ def report(sidecar: Sidecar, series: Sequence[str]) -> Tuple[str, bool]:
             f"sample_stride={sidecar.schema.get('sample_stride')}, "
             f"ticks_per_us={fmt_num(float(sidecar.schema.get('ticks_per_us', 0)))}\n")
     parts.append(report_sketches(sidecar.sketches))
+    parts.append(report_counters(sidecar.counters))
     for rec in sidecar.heatmaps:
         text, rec_ok = report_heatmap(rec)
         ok = ok and rec_ok
         parts.append(text)
+    parts.append(report_spans(sidecar.spans))
     parts.append(report_series(sidecar.samples, series))
     if sidecar.skipped_lines:
         parts.append(f"({sidecar.skipped_lines} unrecognized/garbled "
@@ -305,6 +358,16 @@ def self_test() -> int:
                                 "buckets": [5, 2] + [0] * 62},
                                {"level": 2, "total": 3,
                                 "buckets": [0, 0, 3] + [0] * 61}]}),
+        json.dumps({"type": "counters",
+                    "values": {"skiptree.cas_failures": 10,
+                               "ebr.limbo_bytes_hwm": 4096,
+                               "pool.fallbacks": 0}}),
+        json.dumps({"type": "span", "name": "skiptree.add", "ph": "X",
+                    "pid": 0, "tid": 1, "ts": 0, "dur": 2.5,
+                    "args": {"retries": 3, "depth": 4}}),
+        json.dumps({"type": "span", "name": "skiptree.split", "ph": "X",
+                    "pid": 0, "tid": 1, "ts": 1.0, "dur": 0,
+                    "args": {"payload": 7}}),
         json.dumps({"type": "meta", "name": "kernel", "value": "simd"}),
         "this line is not json {{{",
     ]
@@ -313,6 +376,8 @@ def self_test() -> int:
     assert len(sc.samples) == 2, sc.samples
     assert len(sc.sketches) == 3
     assert len(sc.heatmaps) == 1
+    assert len(sc.spans) == 2
+    assert sc.counters["skiptree.cas_failures"] == 10
     assert sc.skipped_lines == 1
     assert sc.schema["sample_stride"] == 64
 
@@ -327,6 +392,9 @@ def self_test() -> int:
     assert "70.0%" in text          # level 0 share of 10 failures
     assert "kernel=simd" in text
     assert "reclaim.limbo_bytes" in text
+    assert "ebr.limbo_bytes_hwm" in text
+    assert "pool.fallbacks" not in text  # zero counters are elided
+    assert "skiptree.split" in text.split("spans")[-1]
 
     # Mismatched counter must flip the exit status.
     bad = dict(json.loads(synthetic[6]))
@@ -336,19 +404,26 @@ def self_test() -> int:
     assert not ok_bad
     assert "ATTRIBUTION MISMATCH" in text_bad
 
-    # Round-trip through an actual file, exactly like the CLI path.
-    with tempfile.NamedTemporaryFile("w", suffix=".jsonl",
-                                     delete=False) as f:
-        f.write("\n".join(synthetic) + "\n")
-        path = f.name
-    try:
-        with open(path) as fh:
-            sc2 = parse_sidecar(fh.readlines())
-        text2, ok2 = report(sc2, series=["op.add.p99_us"])
-        assert ok2
-        assert "op.add.p99_us" in text2
-    finally:
-        os.unlink(path)
+    # Round-trip through an actual file, exactly like the CLI path, with
+    # --perfetto: the span lines become one loadable trace_event document
+    # with every Chrome field intact and the sidecar's "type" tag dropped.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sidecar.jsonl")
+        out = os.path.join(tmp, "trace.json")
+        with open(path, "w") as f:
+            f.write("\n".join(synthetic) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()) as text2:
+            assert main([path, "--series", "op.add.p99_us",
+                         "--perfetto", out]) == 0
+        assert "op.add.p99_us" in text2.getvalue()
+        with open(out) as fh:
+            doc = json.load(fh)
+    events = doc["traceEvents"]
+    assert [e["name"] for e in events] == ["skiptree.add", "skiptree.split"]
+    assert all("type" not in e for e in events)
+    assert events[0]["args"] == {"retries": 3, "depth": 4}
+    assert events[1]["dur"] == 0 and events[1]["args"]["payload"] == 7
+    assert all(e["ph"] == "X" and "ts" in e and "tid" in e for e in events)
 
     # Sparkline sanity: monotone data renders low -> high.
     sp = sparkline([0.0, 5.0, 10.0])
@@ -370,6 +445,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--series", action="append", default=[],
                     help="series name to sparkline (repeatable; default: "
                          "auto-pick series that vary)")
+    ap.add_argument("--perfetto", metavar="OUT",
+                    help="also write the span lines as a Chrome/Perfetto "
+                         "trace_event document to OUT")
     ap.add_argument("--self-test", action="store_true",
                     help="run the built-in self-test and exit")
     args = ap.parse_args(argv)
@@ -386,6 +464,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     text, ok = report(sidecar, args.series)
     print(text, end="")
+    if args.perfetto:
+        write_perfetto(sidecar.spans, args.perfetto)
+        print(f"wrote {len(sidecar.spans)} span events to {args.perfetto}")
     if not ok:
         print("FAILED: heatmap attribution invariant violated",
               file=sys.stderr)
