@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "avltree/opt_tree.hpp"
@@ -17,6 +19,7 @@
 #include "common/rng.hpp"
 #include "skiplist/skip_list.hpp"
 #include "skiptree/skip_tree.hpp"
+#include "skiptree/validate.hpp"
 
 namespace {
 
@@ -111,6 +114,74 @@ void BM_Iterate(benchmark::State& state) {
                           state.range(0));
 }
 
+/// The node-hop panel: 1000-key for_range calls from seeded random starts.
+/// Under updates the skip-tree's leaves split on tall adds and are unlinked
+/// only when empty, so they shrink from the ~1/q keys of a fresh tree to a
+/// steady state of about 4 keys at 16 x size add/remove pairs.  The tree
+/// is churned that far before timing (over up to 4 threads, to keep the
+/// 2^20 set-up short): each pair adds an absent key and removes a random
+/// member, so the size stays put at half the key range.  A scan then hops
+/// a leaf every few keys, which is the cost this panel prices; the
+/// skip-tree cases report the leaf width they ran at as `leaf_keys`.
+template <typename Set>
+void churn_to_steady_state(Set& set, std::size_t size) {
+  constexpr std::size_t kPairsPerKey = 16;
+  const std::uint64_t range = static_cast<std::uint64_t>(size) * 2;
+  const std::size_t threads = std::clamp<std::size_t>(
+      std::thread::hardware_concurrency(), 1, 4);
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      // Each thread adds, and later removes, only its own members.
+      lfst::xoshiro256ss rng(0xf0f0 + t);
+      const std::size_t mine = size / threads;
+      std::vector<key> live;
+      live.reserve(mine);
+      while (live.size() < mine) {
+        const key k = static_cast<key>(rng.below(range));
+        if (set.add(k)) live.push_back(k);
+      }
+      for (std::size_t pairs = 0; pairs < kPairsPerKey * mine;) {
+        const key k = static_cast<key>(rng.below(range));
+        if (!set.add(k)) continue;
+        key& victim = live[rng.below(live.size())];
+        set.remove(victim);
+        victim = k;
+        ++pairs;
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+}
+
+template <typename Set>
+void BM_ForRange(benchmark::State& state) {
+  constexpr std::uint64_t kScanKeys = 1000;
+  auto set = make_set<Set>();
+  const auto size = static_cast<std::size_t>(state.range(0));
+  churn_to_steady_state(*set, size);
+  const auto range = static_cast<std::uint64_t>(size) * 2;
+  lfst::xoshiro256ss rng(0x5ca7);
+  std::uint64_t keys = 0;
+  for (auto _ : state) {
+    std::uint64_t n = 0;
+    benchmark::DoNotOptimize(set->for_range(
+        static_cast<key>(rng.below(range)), static_cast<key>(range),
+        [&](const key& k) {
+          benchmark::DoNotOptimize(k);
+          return ++n < kScanKeys;
+        }));
+    keys += n;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(keys));
+  if constexpr (std::is_same_v<Set, lfst::skiptree::skip_tree<key>>) {
+    lfst::skiptree::skip_tree_inspector<key> ins(*set);
+    state.counters["leaf_keys"] =
+        static_cast<double>(ins.level_keys(0).size()) /
+        static_cast<double>(ins.level_width(0));
+  }
+}
+
 constexpr std::int64_t kSmall = 1 << 10;
 constexpr std::int64_t kMedium = 1 << 16;
 constexpr std::int64_t kLarge = 1 << 20;
@@ -182,6 +253,11 @@ BENCHMARK_TEMPLATE(BM_Iterate, lfst::avltree::snap_tree<key>)
     ->Arg(kMedium)->Arg(kLarge)->Iterations(8);
 BENCHMARK_TEMPLATE(BM_Iterate, lfst::blinktree::blink_tree<key>)
     ->Arg(kMedium)->Arg(kLarge)->Iterations(8);
+
+BENCHMARK_TEMPLATE(BM_ForRange, lfst::skiptree::skip_tree<key>)
+    ->Arg(kMedium)->Arg(kLarge)->Iterations(20000);
+BENCHMARK_TEMPLATE(BM_ForRange, lfst::blinktree::blink_tree<key>)
+    ->Arg(kMedium)->Arg(kLarge)->Iterations(20000);
 
 // Multi-threaded add/remove over a deliberately tiny key range: the whole
 // set fits in a handful of leaves, so concurrent payload CASes collide and

@@ -87,6 +87,18 @@ struct skip_tree_options {
 
 namespace detail {
 
+/// Where a descent reached the leaf level: the leaf payload snapshot, plus
+/// the level-1 payload snapshot it last went *down* from and the child slot
+/// it took there (`parent` is null when the root is a leaf).  The leaf
+/// cursor (detail/iterate.hpp) reads the parent's child array as its
+/// prefetch schedule.
+template <typename T>
+struct leaf_entry {
+  const contents<T>* leaf = nullptr;
+  const contents<T>* parent = nullptr;
+  std::uint32_t slot = 0;
+};
+
 template <typename T, typename Compare, typename Reclaim, typename Alloc,
           typename Kernel = default_search_kernel>
 struct tree_core {
@@ -288,16 +300,24 @@ struct tree_core {
     return thread_seed(counter.fetch_add(1, std::memory_order_relaxed), 0);
   }
 
-  const contents_t* leftmost_leaf_payload() const {
+  /// The leftmost leaf, with the level-1 payload the descent went down
+  /// from and slot 0 as its prefetch parent.
+  leaf_entry<T> leftmost_leaf() const {
     const head_t* head = root.load(std::memory_order_acquire);
     const node_t* nd = head->node;
     const contents_t* cts = load_payload(nd);
+    const contents_t* parent = nullptr;
     while (!cts->leaf) {
       // An empty routing node has no children; recover over its link.
-      nd = cts->logical_len() == 0 ? cts->link : cts->children()[0];
+      if (cts->logical_len() == 0) {
+        nd = cts->link;
+      } else {
+        parent = cts;
+        nd = cts->children()[0];
+      }
       cts = load_payload(nd);
     }
-    return cts;
+    return {cts, parent, 0};
   }
 
   /// Re-locate `v` at the leaf level after a failed CAS: walk right from

@@ -175,7 +175,7 @@ class skip_tree {
         : guard_(std::make_unique<guard_t>(tree.core_.domain)), tree_(tree) {}
 
     iterator begin() const {
-      return iterator(tree_.core_.cmp, tree_.core_.leftmost_leaf_payload());
+      return iterator(tree_.core_.cmp, tree_.core_.leftmost_leaf());
     }
     iterator end() const { return iterator(); }
 

@@ -175,13 +175,17 @@ TEST(SkipTreeOrdered, QueriesUnderConcurrentChurn) {
           errors.fetch_add(1);
         }
       }
-      // Range scans over churn stay sorted and in-window.
+      // Range scans over churn stay sorted and in-window, and report all
+      // 200 permanent evens (multiples of 200) in [10000, 50000).
       long prev = -1;
+      int evens = 0;
       t.for_range(10000, 50000, [&](long k) {
         if (k < 10000 || k >= 50000 || k <= prev) errors.fetch_add(1);
+        if (k % 200 == 0) ++evens;
         prev = k;
         return true;
       });
+      if (evens != 200) errors.fetch_add(1);
     }
   });
   std::thread churn([&] {

@@ -211,11 +211,16 @@ TEST(SubsystemSpans, PoolRefillAndEbrAdvanceAndHealthProbe) {
 
 TEST(SubsystemSpans, NestedRefillStaysInsideOperationSpan) {
   // A pool refill fires mid-add; the spans nest, so both must surface and
-  // the add span must fully contain the refill span in time.
+  // the add span must fully contain the refill span in time.  The adds run
+  // on a fresh thread: its pool cache starts empty, so its first
+  // allocation refills even when earlier tests in this process left the
+  // calling thread's cache warm.
   trace_registry::instance().reset();
   reclaim::ebr_domain domain;
   skiptree::skip_tree<int> tree(skiptree::skip_tree_options{}, domain);
-  for (int k = 0; k < 3000; ++k) tree.add(k);
+  std::thread([&] {
+    for (int k = 0; k < 3000; ++k) tree.add(k);
+  }).join();
 
   const auto spans = trace_registry::instance().drain();
   bool found_nested = false;
