@@ -289,7 +289,6 @@ class telemetry_reporter {
     count("ebr.overflow_blocks", d.overflow_blocks);
     count("ebr.overflow_bytes", d.overflow_bytes);
     count("ebr.overflow_bytes_hwm", d.overflow_bytes_hwm);
-    count("ebr.quarantined", d.quarantined);
     const alloc::alloc_counters a = alloc::pool_policy::counters();
     count("pool.allocations", a.allocations);
     count("pool.hits", a.pool_hits);

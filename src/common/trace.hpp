@@ -9,7 +9,7 @@
 // replays) records a span -- begin/end tsc timestamps plus the retry count
 // and traversal depth accumulated while it ran -- and every structural
 // event (a split, a root raise, one of the four Fig. 8 compaction
-// transforms, a new EBR epoch, a stalled or quarantined reader) records a
+// transforms, a new EBR epoch, a stalled reader) records a
 // zero-length span carrying one payload word.  The bench sidecar
 // (bench/bench_common.hpp) writes the merged dump as one Chrome
 // `trace_event` line per span; `tools/telemetry_report.py --perfetto`
@@ -85,7 +85,6 @@ enum class sid : std::uint16_t {
   skiptree_compact_8d,
   ebr_new_epoch,        ///< payload: the epoch just published
   ebr_stall,            ///< payload: slot index of the stalled reader
-  ebr_quarantine,       ///< payload: slot index of the quarantined reader
   kCount
 };
 
@@ -119,7 +118,6 @@ inline constexpr std::string_view kSpanNames[] = {
     "skiptree.compact_8d",
     "ebr.new_epoch",
     "ebr.stall",
-    "ebr.quarantine",
 };
 static_assert(sizeof(kSpanNames) / sizeof(kSpanNames[0]) ==
               static_cast<std::size_t>(sid::kCount));

@@ -10,10 +10,10 @@
 //  * Every operation on a protected structure runs under an RAII `guard`
 //    that publishes ("pins") the thread's view of the global epoch.
 //  * `retire(p)` adds `p` to the pinning thread's limbo list tagged with the
-//    pinned epoch `e`.  `p` must already be unreachable from the structure.
+//    current global epoch `e`.  `p` must already be unreachable from the structure.
 //  * The global epoch may advance from `g` to `g+1` only when every pinned
 //    thread has published `g`.  Hence once the global epoch reaches `e + 2`,
-//    no thread that could have observed `p` is still running, and the limbo
+//    no thread that could have observed `p` is still pinned, and the limbo
 //    list for epoch `e` is reclaimed.  Three limbo buckets per thread
 //    (indexed by epoch mod 3) suffice because a bucket is reused only when
 //    its previous generation is at least three epochs old.
@@ -24,28 +24,26 @@
 //
 // Stall tolerance (DESIGN.md Sec. 8).  Classic EBR's failure mode is a single
 // preempted, stalled, or dead reader pinning the epoch forever, growing
-// garbage without bound (the hazard DEBRA+ neutralizes, arXiv 1712.05406).
-// This domain adds four cooperating mechanisms:
+// garbage without bound.  This domain adds three cooperating mechanisms, none
+// of which ever frees a block a pinned reader might still hold:
 //  * Byte-exact limbo accounting with a configurable cap
 //    (`reclaim_limits::max_limbo_bytes`): once per-slot limbo would exceed
 //    the cap, retire() parks blocks on a domain overflow list instead, so the
-//    in-limbo footprint high-watermark never exceeds the cap.
+//    in-limbo footprint high-watermark never exceeds the cap.  Overflow
+//    blocks obey the same grace-period rule as limbo.
 //  * Watchdog-side stall detection (`stall_tick`): a slot that publishes the
 //    same lagging epoch across ticks for longer than a tsc-measured age is
-//    flagged for eviction; a flagged slot that ignores the request past a
-//    grace period is quarantined.
+//    flagged for eviction.
 //  * Cooperative reader eviction: `guard::check()` -- one relaxed load on
 //    the slot's own cache line -- lets a flagged-but-alive reader republish
 //    a fresh epoch at a traversal safe point and restart its operation.
-//  * Quarantine: `try_advance()` skips quarantined slots, so a truly dead
-//    reader stops blocking the epoch.  Its limbo is handed to the overflow
-//    list, and while any slot is quarantined ("degraded mode") expired
-//    overflow blocks are routed through the hazard-pointer domain
-//    (`reclaim/hazard.hpp`) as an escape hatch rather than freed blind.
-//    A quarantined reader is *declared failed*: if it resumes, check()
-//    forces a restart-from-root, but pointers it dereferences before its
-//    next safe point may already be freed.  Quarantine thresholds must
-//    therefore sit well above any legitimate pause.
+//
+// The contract: a reader that never reaches a safe point (wedged, or inside
+// a walk without one) blocks every grace period, and the overflow list grows
+// without bound for as long as it stays pinned -- but nothing it might still
+// hold is ever freed.  Neutralising such a reader safely would need recovery
+// code inside every data structure (DEBRA+, arXiv 1712.05406); this repo has
+// none, so a wedged reader costs memory, never safety.
 #pragma once
 
 #include <atomic>
@@ -59,7 +57,6 @@
 #include "common/align.hpp"
 #include "common/failpoint.hpp"
 #include "common/trace.hpp"
-#include "reclaim/hazard.hpp"
 #include "reclaim/retired.hpp"
 
 namespace lfst::reclaim {
@@ -79,30 +76,22 @@ struct reclaim_limits {
   std::size_t max_limbo_bytes = 0;
 };
 
-/// Inputs to one watchdog detection pass (all ages in tsc ticks; the caller
-/// -- normally `reclaim_watchdog` -- owns the tsc-to-wall-clock calibration).
+/// Inputs to one watchdog detection pass (ages in tsc ticks; the caller --
+/// normally `reclaim_watchdog` -- owns the tsc-to-wall-clock calibration).
 struct stall_params {
   std::uint64_t now_tsc = 0;
-  std::uint64_t stall_age_ticks = 0;      ///< same-epoch age before flagging
-  std::uint64_t eviction_grace_ticks = 0; ///< flagged age before quarantine
-  std::uint64_t min_epoch_lag = 1;        ///< only flag slots this far behind
-  bool quarantine = false;  ///< opt-in: allow declaring readers failed
-  bool escape_to_hazard = true;           ///< degraded-mode hazard routing
+  std::uint64_t stall_age_ticks = 0;  ///< same-epoch age before flagging
 };
 
 /// What one detection pass saw and did.
 struct stall_report {
-  std::size_t pinned = 0;           ///< slots pinned at scan time
-  std::size_t stalled = 0;          ///< pinned slots past the stall age
-  std::size_t flagged = 0;          ///< eviction requests issued this pass
-  std::size_t quarantined_now = 0;  ///< slots quarantined this pass
-  std::size_t quarantined = 0;      ///< total quarantined after the pass
-  std::size_t handoff_blocks = 0;   ///< limbo blocks moved to overflow
-  std::size_t overflow_freed = 0;   ///< overflow blocks freed directly
-  std::size_t overflow_escaped = 0; ///< overflow blocks routed to hazard
-  std::size_t limbo_bytes = 0;      ///< in-limbo bytes after the pass
-  std::size_t overflow_bytes = 0;   ///< overflow bytes after the pass
-  bool advanced = false;            ///< try_advance() succeeded
+  std::size_t pinned = 0;          ///< slots pinned at scan time
+  std::size_t stalled = 0;         ///< lagging slots past the stall age
+  std::size_t flagged = 0;         ///< eviction requests issued this pass
+  std::size_t overflow_freed = 0;  ///< expired overflow blocks freed
+  std::size_t limbo_bytes = 0;     ///< in-limbo bytes after the pass
+  std::size_t overflow_bytes = 0;  ///< overflow bytes after the pass
+  bool advanced = false;           ///< try_advance() succeeded
 };
 
 /// Result of a flush pass.  `skipped_slots` non-zero means the domain was
@@ -125,21 +114,20 @@ struct domain_stats {
   std::size_t overflow_blocks = 0;
   std::size_t overflow_bytes = 0;
   std::size_t overflow_bytes_hwm = 0;
-  std::size_t quarantined = 0;
   std::uint64_t epoch = 0;
 };
 
 namespace detail {
-/// Per-thread epoch record.  `epoch` and `flags` are written by the owner
-/// and read by advancers/the watchdog; the observation fields belong to the
-/// (single) stall driver; limbo state is owner-only except under
-/// `limbo_lock`, which arbitrates the watchdog's quarantine handoff against
-/// the owner's stash/collect.  Aligned to the false-sharing range because
-/// each slot is written by exactly one thread on the hot path.
+/// Per-thread epoch record.  `epoch` is written by the owner and read by
+/// advancers/the watchdog; `flags` is set by the watchdog and cleared by the
+/// owner; the observation fields belong to the (single) stall driver; limbo
+/// state is owner-only except under `limbo_lock`, which arbitrates
+/// try_flush()'s foreign-slot collection against the owner's stash/collect.
+/// Aligned to the false-sharing range because each slot is written by
+/// exactly one thread on the hot path.
 struct alignas(kFalseSharingRange) ebr_slot {
   static constexpr std::uint64_t kQuiescent = ~std::uint64_t{0};
   static constexpr std::uint32_t kEvictRequested = 1u << 0;
-  static constexpr std::uint32_t kQuarantined = 1u << 1;
 
   std::atomic<std::uint64_t> epoch{kQuiescent};
   std::atomic<std::uint32_t> flags{0};
@@ -149,7 +137,6 @@ struct alignas(kFalseSharingRange) ebr_slot {
   // Stall-driver-only observation state (see ebr_domain::stall_tick).
   std::uint64_t observed_epoch = kQuiescent;
   std::uint64_t observed_tsc = 0;
-  std::uint64_t flagged_tsc = 0;
 
   // Owner-only state (limbo additionally guarded by limbo_lock).
   unsigned depth = 0;             // guard nesting level
@@ -198,8 +185,6 @@ class ebr_domain {
       detail::ebr_slot& s = slots_[i];
       for (retired_list& l : s.limbo) l.reclaim_all();
     }
-    // Never escape during destruction: the hazard domain may be a static
-    // that dies first, and quiescence means nobody can hold these blocks.
     for (const overflow_entry& e : overflow_) e.block.reclaim();
   }
 
@@ -218,12 +203,6 @@ class ebr_domain {
   }
   reclaim_limits limits() const noexcept {
     return reclaim_limits{max_limbo_bytes_.load(std::memory_order_relaxed)};
-  }
-
-  /// Where degraded-mode overflow drains route blocks (default: the global
-  /// hazard domain).  Null disables the escape hatch entirely.
-  void set_escape_domain(hp_domain* d) noexcept {
-    escape_.store(d, std::memory_order_release);
   }
 
   // --- retire ----------------------------------------------------------------
@@ -262,7 +241,7 @@ class ebr_domain {
       s.retire_ticks = 0;
       try_advance();
       collect(s);
-      drain_overflow(/*allow_escape=*/true);
+      drain_overflow();
     }
   }
 
@@ -291,8 +270,8 @@ class ebr_domain {
     for (std::size_t i = 0; i < n; ++i) {
       detail::ebr_slot& s = slots_[i];
       // Safe to touch foreign slots only when they cannot race: skip slots
-      // that are pinned right now, and take the limbo lock against a
-      // concurrent watchdog handoff.
+      // that are pinned right now, and take the limbo lock against an owner
+      // that pins (and collects) mid-flush.
       if (s.epoch.load(std::memory_order_acquire) !=
           detail::ebr_slot::kQuiescent) {
         ++r.skipped_slots;
@@ -312,8 +291,7 @@ class ebr_domain {
       }
       s.unlock_limbo();
     }
-    const overflow_drain d = drain_overflow(/*allow_escape=*/true);
-    r.overflow_freed = d.freed + d.escaped;
+    r.overflow_freed = drain_overflow();
     return r;
   }
 
@@ -353,20 +331,17 @@ class ebr_domain {
     d.overflow_bytes = overflow_bytes_.load(std::memory_order_relaxed);
     d.overflow_bytes_hwm =
         overflow_bytes_hwm_.load(std::memory_order_relaxed);
-    d.quarantined = quarantined_.load(std::memory_order_relaxed);
     d.epoch = global_epoch_.load(std::memory_order_acquire);
     return d;
   }
 
-  std::size_t quarantined() const noexcept {
-    return quarantined_.load(std::memory_order_relaxed);
-  }
-
   // --- stall detection (watchdog entry point) --------------------------------
 
-  /// One detection/advance/handoff pass.  Must be driven by at most one
+  /// One detection/advance/drain pass.  Must be driven by at most one
   /// thread at a time (normally a `reclaim_watchdog`); the per-slot
-  /// observation fields are unsynchronized stall-driver state.
+  /// observation fields are unsynchronized stall-driver state.  A stalled
+  /// slot is only ever flagged: it keeps blocking the epoch until it
+  /// answers at a safe point or unpins.
   stall_report stall_tick(const stall_params& p) {
     LFST_FP_POINT("ebr.stall_tick");
     stall_report r;
@@ -375,22 +350,7 @@ class ebr_domain {
     for (std::size_t i = 0; i < n; ++i) {
       detail::ebr_slot& s = slots_[i];
       const std::uint64_t e = s.epoch.load(std::memory_order_seq_cst);
-      const std::uint32_t f = s.flags.load(std::memory_order_acquire);
       if (e == detail::ebr_slot::kQuiescent) {
-        // Flags left on a slot that went quiescent before clearing them
-        // (thread exited between unpin and its TLS teardown, or we flagged
-        // a slot that unpinned concurrently): clean up watchdog-side.  The
-        // CAS cannot race a live owner -- owners clear flags only while
-        // pinned or in pin(), and either order leaves exactly one side
-        // performing the quarantine decrement.
-        if (f != 0) {
-          std::uint32_t expected = f;
-          if (s.flags.compare_exchange_strong(expected, 0,
-                                              std::memory_order_acq_rel) &&
-              (f & detail::ebr_slot::kQuarantined) != 0) {
-            quarantined_.fetch_sub(1, std::memory_order_relaxed);
-          }
-        }
         s.observed_epoch = detail::ebr_slot::kQuiescent;
         continue;
       }
@@ -399,47 +359,21 @@ class ebr_domain {
         // The reader made progress since the last pass: restart its clock.
         s.observed_epoch = e;
         s.observed_tsc = p.now_tsc;
-        s.flagged_tsc = 0;
         continue;
       }
-      if (e + p.min_epoch_lag > g) continue;  // pinned but not lagging
-      const std::uint64_t age = p.now_tsc - s.observed_tsc;
-      if (age < p.stall_age_ticks) continue;
+      if (e >= g) continue;  // pinned at the current epoch: not lagging
+      if (p.now_tsc - s.observed_tsc < p.stall_age_ticks) continue;
       ++r.stalled;
-      if ((f & detail::ebr_slot::kEvictRequested) == 0) {
+      if ((s.flags.load(std::memory_order_acquire) &
+           detail::ebr_slot::kEvictRequested) == 0) {
         s.flags.fetch_or(detail::ebr_slot::kEvictRequested,
                          std::memory_order_acq_rel);
-        s.flagged_tsc = p.now_tsc;
         ++r.flagged;
         LFST_T_EVENT(::lfst::trace::sid::ebr_stall, i);
-      } else if (p.quarantine &&
-                 (f & detail::ebr_slot::kQuarantined) == 0 &&
-                 s.flagged_tsc != 0 &&
-                 p.now_tsc - s.flagged_tsc >= p.eviction_grace_ticks) {
-        // Quarantine via CAS from the exact flagged state: if the owner
-        // self-evicted (exchange(0)) in between, the CAS fails and the slot
-        // stays live.  A quarantined slot no longer blocks try_advance().
-        std::uint32_t expected = detail::ebr_slot::kEvictRequested;
-        if (s.flags.compare_exchange_strong(
-                expected,
-                detail::ebr_slot::kEvictRequested |
-                    detail::ebr_slot::kQuarantined,
-                std::memory_order_acq_rel)) {
-          quarantined_.fetch_add(1, std::memory_order_relaxed);
-          ++r.quarantined_now;
-          LFST_T_EVENT(::lfst::trace::sid::ebr_quarantine, i);
-          // The dead slot's limbo would otherwise rot until the domain
-          // dies or the slot is re-acquired; park it on the overflow list
-          // where normal drains can free it once its grace period passes.
-          r.handoff_blocks += handoff_limbo(s);
-        }
       }
     }
-    r.quarantined = quarantined_.load(std::memory_order_relaxed);
     r.advanced = try_advance();
-    const overflow_drain d = drain_overflow(p.escape_to_hazard);
-    r.overflow_freed = d.freed;
-    r.overflow_escaped = d.escaped;
+    r.overflow_freed = drain_overflow();
     r.limbo_bytes = limbo_bytes_.load(std::memory_order_relaxed);
     r.overflow_bytes = overflow_bytes_.load(std::memory_order_relaxed);
     return r;
@@ -546,15 +480,8 @@ class ebr_domain {
         s->depth = 0;
         s->epoch.store(detail::ebr_slot::kQuiescent,
                        std::memory_order_release);
-        // Clear eviction state so the next owner inherits a clean slot; the
-        // domain is alive here (checked above), so its quarantine count is
-        // safe to touch.
-        const std::uint32_t f =
-            s->flags.exchange(0, std::memory_order_acq_rel);
-        if ((f & detail::ebr_slot::kQuarantined) != 0) {
-          entries[i].domain->quarantined_.fetch_sub(
-              1, std::memory_order_relaxed);
-        }
+        // A pending eviction request stays behind; the next owner's first
+        // pin() clears it.
         s->in_use.store(false, std::memory_order_release);
       }
     }
@@ -566,9 +493,9 @@ class ebr_domain {
     if (s.depth++ > 0) return;  // re-entrant guard
     // A previous owner (or a stale eviction request against us while
     // quiescent) may have left flags behind; clear them before publishing
-    // so a fresh pin is never treated as stalled or quarantined.
+    // so a fresh pin never starts life evicted.
     if (s.flags.load(std::memory_order_relaxed) != 0) {
-      clear_flags(s);
+      s.flags.exchange(0, std::memory_order_acq_rel);
     }
     std::uint64_t g = global_epoch_.load(std::memory_order_relaxed);
     for (;;) {
@@ -591,20 +518,6 @@ class ebr_domain {
     assert(s.depth > 0);
     if (--s.depth == 0) {
       s.epoch.store(detail::ebr_slot::kQuiescent, std::memory_order_release);
-      // Drop any eviction state now that we are quiescent, keeping the
-      // domain's degraded-mode signal (quarantined_) accurate.
-      if (s.flags.load(std::memory_order_relaxed) != 0) {
-        clear_flags(s);
-      }
-    }
-  }
-
-  /// Owner-side flag clear; exactly one of owner/watchdog wins the
-  /// exchange/CAS, so the quarantine count is decremented exactly once.
-  void clear_flags(detail::ebr_slot& s) noexcept {
-    const std::uint32_t f = s.flags.exchange(0, std::memory_order_acq_rel);
-    if ((f & detail::ebr_slot::kQuarantined) != 0) {
-      quarantined_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
 
@@ -615,7 +528,7 @@ class ebr_domain {
   bool maybe_self_evict(detail::ebr_slot& s) {
     if (s.flags.load(std::memory_order_relaxed) == 0) return false;
     if (s.depth != 1) return false;  // outermost guard owns the restart
-    clear_flags(s);
+    s.flags.exchange(0, std::memory_order_acq_rel);
     std::uint64_t g = global_epoch_.load(std::memory_order_relaxed);
     for (;;) {
       s.epoch.store(g, std::memory_order_relaxed);
@@ -628,9 +541,8 @@ class ebr_domain {
     return true;
   }
 
-  /// Advance the global epoch if every pinned, non-quarantined thread has
-  /// observed it.  Quarantined slots are declared failed and skipped -- this
-  /// is what unpins the epoch from a dead reader.
+  /// Advance the global epoch if every pinned thread has observed it.  A
+  /// lagging slot always blocks: only its owner can move it forward.
   bool try_advance() {
     LFST_T_SPAN(::lfst::trace::sid::ebr_advance);
     LFST_FP_POINT("ebr.advance");
@@ -639,13 +551,7 @@ class ebr_domain {
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t e =
           slots_[i].epoch.load(std::memory_order_seq_cst);
-      if (e != detail::ebr_slot::kQuiescent && e != g) {
-        if ((slots_[i].flags.load(std::memory_order_acquire) &
-             detail::ebr_slot::kQuarantined) != 0) {
-          continue;
-        }
-        return false;
-      }
+      if (e != detail::ebr_slot::kQuiescent && e != g) return false;
     }
     std::uint64_t expected = g;
     if (global_epoch_.compare_exchange_strong(expected, g + 1,
@@ -724,11 +630,6 @@ class ebr_domain {
     std::uint64_t epoch = 0;  // retire-time tag; free rule global >= tag + 2
   };
 
-  struct overflow_drain {
-    std::size_t freed = 0;
-    std::size_t escaped = 0;
-  };
-
   void defer_to_overflow(retired_block b, std::uint64_t e) {
     {
       std::lock_guard<std::mutex> lk(overflow_mu_);
@@ -741,46 +642,10 @@ class ebr_domain {
     raise_hwm(overflow_bytes_hwm_, nb);
   }
 
-  /// Move a quarantined slot's limbo onto the overflow list, keeping each
-  /// block's generation tag so the free rule stays exact.  Returns blocks
-  /// moved (0 when the owner holds the limbo lock -- retried next tick).
-  std::size_t handoff_limbo(detail::ebr_slot& s) {
-    if (!s.try_lock_limbo()) return 0;
-    std::size_t moved = 0;
-    std::size_t moved_bytes = 0;
-    {
-      std::lock_guard<std::mutex> lk(overflow_mu_);
-      for (int b = 0; b < 3; ++b) {
-        if (s.limbo[b].empty()) continue;
-        const std::uint64_t tag = s.limbo_epoch[b];
-        moved_bytes += s.limbo[b].bytes();
-        for (retired_block& blk : s.limbo[b].blocks()) {
-          overflow_.push_back(overflow_entry{blk, tag});
-          ++moved;
-        }
-        s.limbo[b].take();
-      }
-    }
-    s.unlock_limbo();
-    if (moved != 0) {
-      account_limbo_sub(moved, moved_bytes);
-      overflow_blocks_.fetch_add(moved, std::memory_order_relaxed);
-      const std::size_t nb = overflow_bytes_.fetch_add(
-                                 moved_bytes, std::memory_order_relaxed) +
-                             moved_bytes;
-      raise_hwm(overflow_bytes_hwm_, nb);
-    }
-    return moved;
-  }
-
-  /// Free overflow entries whose grace period has elapsed.  While any slot
-  /// is quarantined the epoch advanced *past* a declared-failed reader, so
-  /// expired blocks are "at risk" with respect to that reader: route them
-  /// through the hazard-pointer domain (if enabled) so readers that migrate
-  /// to hazard protection stay safe, instead of freeing blind.
-  overflow_drain drain_overflow(bool allow_escape) {
-    overflow_drain r;
-    if (overflow_blocks_.load(std::memory_order_relaxed) == 0) return r;
+  /// Free overflow entries whose grace period has elapsed; returns how
+  /// many were freed.
+  std::size_t drain_overflow() {
+    if (overflow_blocks_.load(std::memory_order_relaxed) == 0) return 0;
     const std::uint64_t g = global_epoch_.load(std::memory_order_acquire);
     std::vector<overflow_entry> expired;
     {
@@ -795,26 +660,15 @@ class ebr_domain {
       }
       overflow_.resize(kept);
     }
-    if (expired.empty()) return r;
+    if (expired.empty()) return 0;
     std::size_t bytes = 0;
-    hp_domain* escape = escape_.load(std::memory_order_acquire);
-    const bool degraded =
-        quarantined_.load(std::memory_order_relaxed) > 0 && allow_escape &&
-        escape != nullptr;
     for (const overflow_entry& e : expired) {
       bytes += e.block.bytes;
-      if (degraded) {
-        escape->retire(e.block);
-        ++r.escaped;
-      } else {
-        e.block.reclaim();
-        ++r.freed;
-      }
+      e.block.reclaim();
     }
-    if (degraded) escape->scan_now();
     overflow_blocks_.fetch_sub(expired.size(), std::memory_order_relaxed);
     overflow_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-    return r;
+    return expired.size();
   }
 
   const std::uint64_t id_;
@@ -826,8 +680,6 @@ class ebr_domain {
   std::atomic<std::size_t> limbo_blocks_{0};
   std::atomic<std::size_t> limbo_bytes_{0};
   std::atomic<std::size_t> limbo_bytes_hwm_{0};
-  std::atomic<std::size_t> quarantined_{0};
-  std::atomic<hp_domain*> escape_{&hp_domain::global()};
   std::mutex overflow_mu_;
   std::vector<overflow_entry> overflow_;
   std::atomic<std::size_t> overflow_blocks_{0};

@@ -49,14 +49,11 @@ class retired_list {
     bytes_ = 0;
   }
 
-  /// Move the contents out (used when a slot is adopted by a new thread or
-  /// a stalled slot's limbo is handed to a domain overflow list).
+  /// Move the contents out (the hazard domain's scan partitions them).
   std::vector<retired_block> take() {
     bytes_ = 0;
     return std::move(blocks_);
   }
-
-  std::vector<retired_block>& blocks() noexcept { return blocks_; }
 
  private:
   std::vector<retired_block> blocks_;

@@ -1,17 +1,17 @@
-// Chaos schedules for stall-tolerant reclamation (DESIGN.md Sec. 9).
+// Chaos schedules for stall-tolerant reclamation (DESIGN.md Sec. 8).
 //
-// The headline schedule is the one classic EBR cannot survive: one reader
-// pinned forever while healthy threads churn removals.  With the bounded
-// limbo cap and a reclaim_watchdog the in-limbo footprint must stay under
-// the cap (measured and asserted on the exact byte high-watermark) while
-// every healthy thread completes and the structure validates; the contrast
+// The headline schedule is a long-running reader that holds one guard for
+// the whole run while healthy threads churn removals -- the stall classic
+// EBR turns into unbounded garbage.  With the bounded limbo cap and a
+// reclaim_watchdog the in-limbo footprint must stay under the cap (measured
+// and asserted on the exact byte high-watermark), the watchdog must evict
+// the reader at its check() safe point so reclamation keeps pace, and every
+// healthy thread must complete with the structure validating.  The contrast
 // run -- same churn, no subsystem -- demonstrates the unbounded growth the
-// cap exists to prevent (numbers quoted in EXPERIMENTS.md).
+// cap and eviction exist to prevent (numbers quoted in EXPERIMENTS.md).
 //
-// Also here: a reader "killed" mid-guard (parks, then exits without ever
-// resuming its traversal), degraded-mode frees routed through the hazard
-// domain, and hazard-pointer parity -- the existing chaos fault families
-// run against the hazard-backed Harris list, whose oracle is identical.
+// Also here: hazard-pointer parity -- the existing chaos fault families run
+// against the hazard-backed Harris list, whose oracle is identical.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -55,27 +55,28 @@ void arm_delays() {
   }
 }
 
-/// A reader that takes a guard, optionally reads the tree a little, then
-/// parks forever -- the stalled-reader injection.  `release()` lets the
-/// thread exit cleanly (it never resumes the traversal: the mid-guard-kill
-/// shape), after which its slot teardown must clear any quarantine.
+/// A long-running reader: one guard held until release(), reading the tree
+/// in bursts with a `check()` safe point between them.  Without a watchdog
+/// nobody asks it to move, so it pins the epoch for the whole run; with
+/// one, each eviction republishes its pin and lets reclamation catch up.
 class pinned_reader {
  public:
-  pinned_reader(reclaim::ebr_domain& d, const skip_tree<int>* peek)
+  pinned_reader(reclaim::ebr_domain& d, const skip_tree<int>& tree)
       : domain_(d) {
-    thread_ = std::thread([this, peek] {
+    thread_ = std::thread([this, &tree] {
+      // Read under the pin so the stall is a *mid-read* stall, not an idle
+      // pin.
+      auto read_burst = [&tree] {
+        for (int k = 0; k < 64; ++k) (void)tree.contains(k);
+      };
       reclaim::ebr_domain::guard g(domain_);
-      if (peek != nullptr) {
-        // Touch the structure under the pin so the stall is a *mid-read*
-        // stall, not an idle pin.
-        for (int k = 0; k < 64; ++k) (void)peek->contains(k);
-      }
+      read_burst();
       pinned_.store(true, std::memory_order_release);
       while (!release_.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if (g.check()) evictions_.fetch_add(1, std::memory_order_relaxed);
+        read_burst();
       }
-      // Exits without another structure access: pointers it might have
-      // held are dead with it.
     });
     while (!pinned_.load(std::memory_order_acquire)) {
       std::this_thread::yield();
@@ -86,11 +87,13 @@ class pinned_reader {
     release_.store(true, std::memory_order_release);
     if (thread_.joinable()) thread_.join();
   }
+  int evictions() const { return evictions_.load(std::memory_order_relaxed); }
 
  private:
   reclaim::ebr_domain& domain_;
   std::atomic<bool> pinned_{false};
   std::atomic<bool> release_{false};
+  std::atomic<int> evictions_{0};
   std::thread thread_;
 };
 
@@ -99,10 +102,11 @@ struct churn_outcome {
   std::size_t expected_keys = 0;
   bool validated = false;
   std::size_t ops = 0;
+  int evictions = 0;
 };
 
 /// Owner-partitioned add/remove/contains churn against a tree whose domain
-/// has one reader pinned for the entire run.  Remove-heavy on purpose: the
+/// has one reader holding a guard for the entire run.  Remove-heavy on purpose: the
 /// point is to generate garbage nobody can collect classically.
 churn_outcome churn_with_pinned_reader(reclaim::ebr_domain& domain,
                                        bool with_watchdog, std::size_t cap,
@@ -113,17 +117,15 @@ churn_outcome churn_with_pinned_reader(reclaim::ebr_domain& domain,
   for (int k = 0; k < kKeyRange; ++k) tree.add(k);
   arm_delays();
 
-  // Stall/grace spans picked so the epoch stays pinned long enough for the
-  // churn to fill the limbo cap (forcing overflow deferrals) before the
-  // quarantine unblocks it.
+  // Stall age picked so the epoch stays pinned long enough for the churn to
+  // fill the limbo cap (forcing overflow deferrals) before each eviction
+  // unblocks it.
   reclaim::watchdog_options wopts;
   wopts.interval = std::chrono::milliseconds(1);
-  wopts.stall_age = std::chrono::milliseconds(50);
-  wopts.eviction_grace = std::chrono::milliseconds(50);
-  wopts.quarantine = true;
+  wopts.stall_age = std::chrono::milliseconds(5);
   reclaim::reclaim_watchdog dog(domain, wopts);
 
-  pinned_reader reader(domain, &tree);
+  pinned_reader reader(domain, tree);
   if (with_watchdog) dog.start();
 
   std::vector<std::set<int>> mirrors(kThreads);
@@ -185,35 +187,29 @@ churn_outcome churn_with_pinned_reader(reclaim::ebr_domain& domain,
   out.validated = rep.ok;
 
   reader.release();
+  out.evictions = reader.evictions();
   if (with_watchdog) {
-    // Quarantine evidence comes from the watchdog's own report series.
-    bool saw_stall = false;
-    bool saw_quarantine = false;
-    for (const reclaim::watchdog_sample& s : dog.samples()) {
-      saw_stall |= s.report.stalled > 0;
-      saw_quarantine |= s.report.quarantined_now > 0;
-    }
-    EXPECT_TRUE(saw_stall) << "watchdog never detected the pinned reader";
-    EXPECT_TRUE(saw_quarantine) << "watchdog never quarantined it";
-    // Post-quarantine reclamation kept pace: the combined footprint at the
+    EXPECT_GT(dog.totals().stalled_ticks, 0u)
+        << "watchdog never detected the pinned reader";
+    EXPECT_GT(out.evictions, 0) << "the reader never self-evicted";
+    // Eviction let reclamation keep pace: the combined footprint at the
     // end of the churn is bounded, not proportional to the op count.
     EXPECT_LT(out.stats.limbo_bytes + out.stats.overflow_bytes, 16 * kCap)
-        << "reclamation did not progress past the quarantined reader";
+        << "reclamation did not progress past the evicted reader";
     EXPECT_GT(out.stats.overflow_bytes_hwm, 0u)
-        << "the cap never forced a deferral (stuck window too short?)";
+        << "the cap never forced a deferral (stall age too short?)";
   }
-  EXPECT_EQ(domain.quarantined(), 0u)
-      << "reader exit must clear quarantine state";
   return out;
 }
 
-// The acceptance schedule: one reader pinned forever + sustained remove
-// churn.  The limbo-bytes high-watermark must stay under the cap -- exactly,
-// not approximately (retire() reserves bytes by CAS before stashing) --
-// while every healthy thread completes and validates.
+// The acceptance schedule: one long-running reader holding its guard for
+// the whole run + sustained remove churn.  The limbo-bytes high-watermark
+// must stay under the cap -- exactly, not approximately (retire() reserves
+// bytes by CAS before stashing) -- the watchdog must evict the reader at its
+// safe point, and every healthy thread completes and validates.
 TEST(ChaosReclaim, PinnedReaderLimboStaysUnderCap) {
   reclaim::ebr_domain domain;
-  // Run until the watchdog has had ample time to walk the whole ladder.
+  // Run long enough for the watchdog to evict the reader many times.
   std::atomic<bool> stop{false};
   std::thread timer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(600));
@@ -227,9 +223,10 @@ TEST(ChaosReclaim, PinnedReaderLimboStaysUnderCap) {
       << "bounded-limbo guarantee violated";
   EXPECT_TRUE(out.validated);
   std::printf(
-      "--- bounded: %zu ops, limbo hwm %zu B (cap %zu B), overflow hwm %zu B "
-      "---\n",
-      out.ops, out.stats.limbo_bytes_hwm, kCap, out.stats.overflow_bytes_hwm);
+      "--- bounded: %zu ops, limbo hwm %zu B (cap %zu B), overflow hwm %zu B, "
+      "end footprint %zu B, %d evictions ---\n",
+      out.ops, out.stats.limbo_bytes_hwm, kCap, out.stats.overflow_bytes_hwm,
+      out.stats.limbo_bytes + out.stats.overflow_bytes, out.evictions);
 }
 
 // Contrast run for EXPERIMENTS.md: same churn, no cap, no watchdog.  The
@@ -246,63 +243,6 @@ TEST(ChaosReclaim, PinnedReaderUnboundedContrastGrowsPastCap) {
               out.ops, out.stats.limbo_bytes_hwm,
               static_cast<double>(out.stats.limbo_bytes_hwm) /
                   static_cast<double>(kCap));
-}
-
-// Degraded mode, deterministically: quarantine a parked reader by driving
-// the stall ladder by hand, then park counting blocks on the overflow list
-// from a fresh thread (clean advance clock, so only our ticks drain).
-// While any slot is quarantined, every expired overflow block must route
-// through the (local) hazard domain rather than being freed blind.
-TEST(ChaosReclaim, DegradedModeFreesThroughHazardDomain) {
-  reclaim::hp_domain escape;
-  reclaim::ebr_domain domain;
-  domain.set_escape_domain(&escape);
-  domain.set_limits(reclaim::reclaim_limits{64});  // tiny: everything defers
-
-  pinned_reader reader(domain, nullptr);
-  auto tick = [&](std::uint64_t now) {
-    reclaim::stall_params p;
-    p.now_tsc = now;
-    p.min_epoch_lag = 1;
-    p.quarantine = true;
-    return domain.stall_tick(p);
-  };
-  std::uint64_t now = 0;
-  tick(now += 100);  // observe (+ the one advance that makes the lag)
-  tick(now += 100);  // flag
-  const reclaim::stall_report q = tick(now += 100);
-  ASSERT_EQ(q.quarantined, 1u);
-
-  // 32 blocks of 128 "bytes" against a 64-byte cap: all defer to overflow.
-  // A fresh thread keeps its slot's advance clock at zero, so no internal
-  // drain races the ticks below.
-  std::atomic<int> freed{0};
-  std::thread([&] {
-    reclaim::ebr_domain::guard g(domain);
-    for (int i = 0; i < 32; ++i) {
-      domain.retire(reclaim::retired_block{
-          &freed,
-          [](void* p) {
-            static_cast<std::atomic<int>*>(p)->fetch_add(
-                1, std::memory_order_relaxed);
-          },
-          128});
-    }
-  }).join();
-  ASSERT_EQ(domain.stats().overflow_blocks, 32u);
-
-  std::size_t escaped = 0;
-  for (int i = 0; i < 6 && freed.load() != 32; ++i) {
-    escaped += tick(now += 100).overflow_escaped;
-  }
-  EXPECT_EQ(freed.load(), 32) << "overflow blocks never reclaimed";
-  EXPECT_EQ(escaped, 32u)
-      << "degraded-mode frees bypassed the hazard escape hatch";
-
-  reader.release();
-  EXPECT_EQ(domain.quarantined(), 0u);
-  const reclaim::flush_result fr = domain.try_flush();
-  EXPECT_TRUE(fr.clean());
 }
 
 // Hazard-pointer parity: the chaos fault families of test_chaos_skiptree

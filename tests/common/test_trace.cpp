@@ -40,7 +40,6 @@ TEST(Names, TablesMatchEnums) {
   EXPECT_EQ(span_name(sid::skiptree_compact_8a), "skiptree.compact_8a");
   EXPECT_EQ(span_name(sid::skiptree_compact_8d), "skiptree.compact_8d");
   EXPECT_EQ(span_name(sid::ebr_new_epoch), "ebr.new_epoch");
-  EXPECT_EQ(span_name(sid::ebr_quarantine), "ebr.quarantine");
 }
 
 TEST(SpanRing, PushAndDrainRoundTrips) {

@@ -199,12 +199,10 @@ TEST(EbrThreads, SlotExhaustionIsAHardErrorNotAnOverflow) {
 
 TEST(EbrThreads, ChurnWavesReuseDeadSlotsWithCleanFlags) {
   // Rapid waves of short-lived threads cross the registry capacity many
-  // times over while a watchdog-style ladder keeps flagging/quarantining a
-  // deliberately parked reader.  Successor threads inheriting recycled
-  // slots must see clean flags (a fresh pin is never born flagged or
-  // quarantined) and the quarantine count must return to zero.
+  // times over while a watchdog-style ladder keeps flagging a deliberately
+  // parked reader.  Successor threads inheriting recycled slots must see
+  // clean flags: a fresh pin is never born flagged.
   ebr_domain d;
-  d.set_escape_domain(nullptr);
   std::atomic<bool> pinned{false};
   std::atomic<bool> release{false};
   std::thread stalled([&] {
@@ -231,17 +229,14 @@ TEST(EbrThreads, ChurnWavesReuseDeadSlotsWithCleanFlags) {
         }
       });
     }
-    // Quarantine ladder against the parked reader, concurrent with churn.
+    // Stall ladder against the parked reader, concurrent with churn.
     stall_params p;
     p.now_tsc = (now += 1000);
-    p.min_epoch_lag = 1;
-    p.quarantine = true;
     d.stall_tick(p);
     for (auto& t : workers) t.join();
   }
   release.store(true, std::memory_order_release);
   stalled.join();
-  EXPECT_EQ(d.quarantined(), 0u) << "thread exits must clear quarantine";
   d.flush();
   d.flush();
   EXPECT_EQ(counted::live.load(), 0);

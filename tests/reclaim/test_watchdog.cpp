@@ -1,22 +1,25 @@
-// Stall-tolerant reclamation: stall detection, cooperative eviction,
-// quarantine, the bounded-limbo cap, the hazard escape hatch, and the
-// background reclaim_watchdog driver.
+// Stall-tolerant reclamation: stall detection, cooperative eviction, the
+// bounded-limbo cap, and the background reclaim_watchdog driver.
 //
 // Most tests drive `ebr_domain::stall_tick` directly with synthetic tsc
-// values, which makes the flag -> grace -> quarantine ladder fully
-// deterministic (no sleeps, no calibration).  The last tests exercise the
-// real `reclaim_watchdog` thread against wall-clock options.
+// values, which makes the observe -> flag ladder fully deterministic (no
+// sleeps, no calibration).  The last tests exercise the real
+// `reclaim_watchdog` thread against wall-clock options.
+//
+// The contract under test: a reader that answers at a `guard::check()` safe
+// point is evicted and reclamation moves on; a reader that never does keeps
+// blocking the epoch, and nothing retired after its pin is ever freed.
 #include "reclaim/watchdog.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <thread>
 
 #include "reclaim/ebr.hpp"
-#include "reclaim/hazard.hpp"
 
 namespace lfst::reclaim {
 namespace {
@@ -29,15 +32,22 @@ struct counted {
 };
 std::atomic<int> counted::live{0};
 
-/// A reader that pins the domain and parks until released, never calling
-/// check() -- the "stalled forever" failure mode classic EBR cannot survive.
-class parked_reader {
+/// A reader that pins the domain and holds the guard until released.  A
+/// parked reader never reaches a safe point -- the "stalled forever" failure
+/// mode classic EBR cannot survive.  A running reader calls check() between
+/// reads, the long scan cooperative eviction is built for.
+class pinned_reader {
  public:
-  explicit parked_reader(ebr_domain& d) {
-    thread_ = std::thread([this, &d] {
+  enum class mode { parked, running };
+
+  pinned_reader(ebr_domain& d, mode m) {
+    thread_ = std::thread([this, &d, m] {
       ebr_domain::guard g(d);
       pinned_.store(true, std::memory_order_release);
       while (!release_.load(std::memory_order_acquire)) {
+        if (m == mode::running && g.check()) {
+          evictions_.fetch_add(1, std::memory_order_relaxed);
+        }
         std::this_thread::yield();
       }
     });
@@ -45,36 +55,38 @@ class parked_reader {
       std::this_thread::yield();
     }
   }
-  ~parked_reader() { release(); }
+  ~pinned_reader() { release(); }
   void release() {
     release_.store(true, std::memory_order_release);
     if (thread_.joinable()) thread_.join();
   }
+  int evictions() const { return evictions_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<bool> pinned_{false};
   std::atomic<bool> release_{false};
+  std::atomic<int> evictions_{0};
   std::thread thread_;
 };
 
-/// Synthetic stall params: zero age thresholds so the ladder fires on
+/// Synthetic stall params: a zero age threshold so the ladder fires on
 /// consecutive ticks; `now` only has to increase monotonically.
-stall_params tick_params(std::uint64_t now, bool quarantine = true,
-                         bool escape = false) {
+stall_params tick_params(std::uint64_t now) {
   stall_params p;
   p.now_tsc = now;
   p.stall_age_ticks = 0;
-  p.eviction_grace_ticks = 0;
-  p.min_epoch_lag = 1;
-  p.quarantine = quarantine;
-  p.escape_to_hazard = escape;
   return p;
 }
 
-TEST(StallDetection, LadderObserveFlagQuarantine) {
+TEST(StallDetection, LadderObserveFlag) {
   ebr_domain d;
-  d.set_escape_domain(nullptr);
-  parked_reader reader(d);
+  const int before = counted::live.load();
+  pinned_reader reader(d, pinned_reader::mode::parked);
+  {
+    ebr_domain::guard g(d);
+    // Fewer than kAdvanceEvery so no advance sneaks in mid-loop.
+    for (int i = 0; i < 50; ++i) d.retire(new counted);
+  }
 
   // Tick 1: the reader is pinned at the current epoch -- observed, clock
   // started, and try_advance() succeeds (everyone is at g), so from now on
@@ -87,25 +99,29 @@ TEST(StallDetection, LadderObserveFlagQuarantine) {
   stall_report r2 = d.stall_tick(tick_params(200));
   EXPECT_EQ(r2.stalled, 1u);
   EXPECT_EQ(r2.flagged, 1u);
-  EXPECT_EQ(r2.quarantined_now, 0u);
 
-  // Tick 3: still ignoring the request past the (zero) grace: quarantine,
-  // and the epoch is free to advance past the dead reader.
-  stall_report r3 = d.stall_tick(tick_params(300));
-  EXPECT_EQ(r3.quarantined_now, 1u);
-  EXPECT_EQ(r3.quarantined, 1u);
-  EXPECT_TRUE(r3.advanced);
-  EXPECT_EQ(d.quarantined(), 1u);
+  // Tick 3 on: the reader ignores the request.  It stays flagged (no second
+  // request is issued), keeps blocking the epoch, and nothing retired after
+  // its pin is freed -- however long the watchdog keeps ticking.
+  std::uint64_t now = 200;
+  for (int tick = 3; tick < 20; ++tick) {
+    const stall_report r = d.stall_tick(tick_params(now += 100));
+    EXPECT_EQ(r.pinned, 1u);
+    EXPECT_EQ(r.stalled, 1u);
+    EXPECT_EQ(r.flagged, 0u);
+    EXPECT_FALSE(r.advanced);
+    EXPECT_FALSE(d.try_flush().clean());
+    EXPECT_EQ(counted::live.load(), before + 50);
+  }
 
-  // The reader thread exits cleanly; its TLS teardown clears the flags and
-  // the quarantine count drops back to zero.
+  // Once the reader exits, the garbage goes.
   reader.release();
-  EXPECT_EQ(d.quarantined(), 0u);
+  d.flush();
+  EXPECT_EQ(counted::live.load(), before);
 }
 
 TEST(StallDetection, FlaggedReaderSelfEvictsAndStaysLive) {
   ebr_domain d;
-  d.set_escape_domain(nullptr);
 
   std::atomic<bool> flagged{false};
   std::atomic<bool> evicted{false};
@@ -135,10 +151,11 @@ TEST(StallDetection, FlaggedReaderSelfEvictsAndStaysLive) {
   while (!evicted.load(std::memory_order_acquire)) std::this_thread::yield();
 
   // The reader republished a fresh epoch: the next pass sees progress
-  // (clock restarted), nobody is quarantined.
+  // (clock restarted), so nothing is stalled and the epoch moves again.
   stall_report after = d.stall_tick(tick_params(300));
-  EXPECT_EQ(after.quarantined_now, 0u);
-  EXPECT_EQ(d.quarantined(), 0u);
+  EXPECT_EQ(after.stalled, 0u);
+  EXPECT_EQ(after.flagged, 0u);
+  EXPECT_TRUE(after.advanced);
   release.store(true, std::memory_order_release);
   reader.join();
 }
@@ -147,37 +164,6 @@ TEST(StallDetection, UnflaggedCheckIsFreeAndFalse) {
   ebr_domain d;
   ebr_domain::guard g(d);
   for (int i = 0; i < 1000; ++i) EXPECT_FALSE(g.check());
-}
-
-TEST(StallDetection, QuarantineUnblocksReclamation) {
-  ebr_domain d;
-  d.set_escape_domain(nullptr);  // direct frees: count them exactly
-  const int before = counted::live.load();
-  parked_reader reader(d);
-
-  {
-    ebr_domain::guard g(d);
-    for (int i = 0; i < 100; ++i) d.retire(new counted);
-  }
-  // Classic EBR would sit here forever: the parked reader pins the epoch.
-  const flush_result stuck = d.try_flush();
-  EXPECT_FALSE(stuck.clean());
-  EXPECT_EQ(counted::live.load(), before + 100);
-
-  // Walk the ladder; after quarantine the reader no longer blocks
-  // try_advance, so a few more ticks age the (handed-off) garbage past its
-  // grace period and the drain frees it.
-  std::uint64_t now = 100;
-  for (int i = 0; i < 8 && counted::live.load() != before; ++i) {
-    d.stall_tick(tick_params(now += 100));
-    // The garbage lives in *this* thread's limbo buckets; the tick only
-    // advances the epoch past the quarantined reader -- a non-quiescent
-    // flush then frees the aged buckets.
-    d.try_flush();
-  }
-  EXPECT_EQ(counted::live.load(), before);
-  EXPECT_EQ(d.stats().limbo_bytes, 0u);
-  EXPECT_EQ(d.stats().overflow_bytes, 0u);
 }
 
 TEST(BoundedLimbo, ByteAccountingIsExact) {
@@ -203,11 +189,11 @@ TEST(BoundedLimbo, ByteAccountingIsExact) {
 
 TEST(BoundedLimbo, CapIsAHardCeilingOnTheHighWatermark) {
   ebr_domain d;
-  d.set_escape_domain(nullptr);
   const std::size_t cap = 32 * sizeof(counted);
   d.set_limits(reclaim_limits{cap});
   const int before = counted::live.load();
-  parked_reader reader(d);  // blocks collection: limbo can only grow
+  // Blocks collection: limbo can only grow.
+  pinned_reader reader(d, pinned_reader::mode::parked);
 
   {
     ebr_domain::guard g(d);
@@ -233,122 +219,83 @@ TEST(BoundedLimbo, CapIsAHardCeilingOnTheHighWatermark) {
   EXPECT_EQ(d.stats().overflow_bytes, 0u);
 }
 
-TEST(BoundedLimbo, EscapeHatchRoutesThroughHazardDomain) {
-  hp_domain escape;
-  ebr_domain d;
-  d.set_escape_domain(&escape);
-  d.set_limits(reclaim_limits{4 * sizeof(counted)});
-  const int before = counted::live.load();
-  parked_reader reader(d);
-
-  {
-    ebr_domain::guard g(d);
-    for (int i = 0; i < 64; ++i) d.retire(new counted);
-  }
-  // Quarantine the parked reader, then keep ticking with the escape hatch
-  // armed: expired overflow blocks must be routed through the hazard domain
-  // (and freed by its scan, since nobody holds hazard pointers).
-  std::uint64_t now = 100;
-  std::size_t escaped = 0;
-  for (int i = 0; i < 8; ++i) {
-    const stall_report r =
-        d.stall_tick(tick_params(now += 100, true, /*escape=*/true));
-    escaped += r.overflow_escaped;
-  }
-  EXPECT_GT(escaped, 0u) << "degraded mode never used the escape hatch";
-  // The handful of blocks that fit under the cap are still in this
-  // thread's limbo; the epoch has advanced well past their tags.
-  d.try_flush();
-  EXPECT_EQ(counted::live.load(), before);
-}
-
 TEST(Watchdog, ThreadDetectsInjectedStallWithinBoundedTicks) {
   ebr_domain d;
-  d.set_escape_domain(nullptr);
   const int before = counted::live.load();
 
   watchdog_options opts;
   opts.interval = std::chrono::milliseconds(1);
   opts.stall_age = std::chrono::milliseconds(2);
-  opts.eviction_grace = std::chrono::milliseconds(2);
-  opts.quarantine = true;
   reclaim_watchdog dog(d, opts);
 
-  parked_reader reader(d);
+  pinned_reader reader(d, pinned_reader::mode::running);
   {
     ebr_domain::guard g(d);
     for (int i = 0; i < 100; ++i) d.retire(new counted);
   }
 
   dog.start();
-  // Detection + quarantine + drain must all land within a bounded number
-  // of ticks (generous wall-clock bound: ~2s vs the ~5ms nominal path).
+  // Detection + self-eviction + collection must all land within a bounded
+  // number of ticks (generous wall-clock bound: ~2s vs the ~5ms nominal
+  // path).  Each eviction lets the epoch move one step past the reader.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (counted::live.load() != before &&
          std::chrono::steady_clock::now() < deadline) {
     // Brief re-pins give this thread's own limbo its collect opportunity
-    // (collection is driven from pin(); the watchdog only unblocks the
-    // epoch and handles quarantined slots' garbage).
+    // (collection is driven from pin(); the watchdog only asks the reader
+    // to move).
     { ebr_domain::guard g(d); }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   dog.stop();
 
   EXPECT_EQ(counted::live.load(), before)
-      << "watchdog failed to reclaim past a stalled reader";
-  bool saw_stall = false;
-  bool saw_quarantine = false;
-  for (const watchdog_sample& s : dog.samples()) {
-    saw_stall |= s.report.stalled > 0;
-    saw_quarantine |= s.report.quarantined_now > 0;
-  }
-  EXPECT_TRUE(saw_stall);
-  EXPECT_TRUE(saw_quarantine);
+      << "watchdog failed to move a running reader off its stale epoch";
+  EXPECT_GT(dog.totals().stalled_ticks, 0u);
+  EXPECT_GT(dog.totals().flagged, 0u);
+  EXPECT_GT(reader.evictions(), 0) << "the reader never self-evicted";
 }
 
-TEST(Watchdog, DefaultOptionsNeverQuarantineAPinnedReader) {
-  // Quarantine is opt-in: a default-constructed watchdog may flag a stalled
-  // reader for cooperative eviction, but must never declare it failed --
-  // the reader may still hold pointers into limbo.
+TEST(Watchdog, ParkedReaderGarbageIsNeverFreed) {
+  // A reader that never reaches a safe point may still hold pointers to
+  // anything retired after its pin.  The watchdog flags it, but however
+  // long it keeps ticking, none of that garbage may be freed.
   ebr_domain d;
-  d.set_escape_domain(nullptr);
+  const int before = counted::live.load();
   watchdog_options opts;
-  EXPECT_FALSE(opts.quarantine);
-  EXPECT_FALSE(stall_params{}.quarantine);
   opts.interval = std::chrono::milliseconds(1);
   opts.stall_age = std::chrono::milliseconds(1);
-  opts.eviction_grace = std::chrono::milliseconds(1);
   reclaim_watchdog dog(d, opts);
 
-  parked_reader reader(d);
+  pinned_reader reader(d, pinned_reader::mode::parked);
   {
     ebr_domain::guard g(d);
     for (int i = 0; i < 100; ++i) d.retire(new counted);
   }
   dog.start();
-  // Run until the stall has been seen on 20 ticks -- each one far past the
-  // 1 ms grace, where a quarantining watchdog would already have acted.
+  // Run until the stall has been seen on 20 ticks, each one far past the
+  // 1 ms stall age.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  std::size_t stalled_ticks = 0;
-  while (stalled_ticks < 20 && std::chrono::steady_clock::now() < deadline) {
+  int live_low = before + 100;
+  while (dog.totals().stalled_ticks < 20 &&
+         std::chrono::steady_clock::now() < deadline) {
     { ebr_domain::guard g(d); }
+    live_low = std::min(live_low, counted::live.load());
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    stalled_ticks = 0;
-    for (const watchdog_sample& s : dog.samples()) {
-      stalled_ticks += s.report.stalled > 0 ? 1 : 0;
-    }
   }
   dog.stop();
-  EXPECT_GE(stalled_ticks, 20u) << "the parked reader should be detected";
-  for (const watchdog_sample& s : dog.samples()) {
-    EXPECT_EQ(s.report.quarantined_now, 0u);
-    EXPECT_EQ(s.report.quarantined, 0u);
-  }
-  EXPECT_EQ(d.quarantined(), 0u);
+  const watchdog_totals t = dog.totals();
+  EXPECT_GE(t.stalled_ticks, 20u) << "the parked reader should be detected";
+  // One request, never answered, never re-issued.
+  EXPECT_EQ(t.flagged, 1u);
+  EXPECT_EQ(live_low, before + 100) << "garbage freed under a pinned reader";
+  EXPECT_EQ(counted::live.load(), before + 100);
+
   reader.release();
   d.flush();
+  EXPECT_EQ(counted::live.load(), before);
 }
 
 TEST(Watchdog, QuietDomainProducesQuietSamples) {
@@ -357,8 +304,9 @@ TEST(Watchdog, QuietDomainProducesQuietSamples) {
   const stall_report r = dog.tick_now();
   EXPECT_EQ(r.pinned, 0u);
   EXPECT_EQ(r.stalled, 0u);
-  EXPECT_EQ(r.quarantined, 0u);
-  EXPECT_EQ(dog.samples().size(), 1u);
+  EXPECT_EQ(dog.totals().ticks, 1u);
+  EXPECT_EQ(dog.totals().stalled_ticks, 0u);
+  EXPECT_EQ(dog.last_report().pinned, 0u);
   // start/stop idempotence.
   dog.start();
   dog.start();
