@@ -40,7 +40,6 @@
 #include "common/telemetry.hpp"
 #include "common/trace.hpp"
 #include "reclaim/ebr.hpp"
-#include "skiptree/detail/kernel.hpp"
 #include "workload/table.hpp"
 #include "workload/workload.hpp"
 
@@ -94,9 +93,9 @@ inline std::string range_name(std::uint64_t range) {
 
 inline void print_header(const char* what, const bench_config& c) {
   std::printf("== %s ==\n", what);
-  std::printf("ops/trial=%zu trials=%d kernel=%s (override with "
+  std::printf("ops/trial=%zu trials=%d (override with "
               "LFST_BENCH_OPS / LFST_BENCH_TRIALS / LFST_BENCH_THREADS)\n\n",
-              c.ops, c.trials, skiptree::selected_kernel_name());
+              c.ops, c.trials);
 }
 
 /// Consume `--flag` / `--flag=PATH` from argv, falling back to `env`.
@@ -155,13 +154,8 @@ class bench_json_reporter {
       std::fprintf(stderr, "bench json: cannot write %s\n", path_.c_str());
       return;
     }
-    // The kernel stamp pairs candidate runs with like baselines: bench_gate
-    // refuses to diff two documents whose kernels differ (a scalar run
-    // "regressing" against an avx2 baseline is a configuration error, not a
-    // performance signal).
-    std::fprintf(f, "{\"bench\":\"%s\",\"kernel\":\"%s\",\"entries\":[",
-                 telemetry::json_escape(bench_).c_str(),
-                 skiptree::selected_kernel_name());
+    std::fprintf(f, "{\"bench\":\"%s\",\"entries\":[",
+                 telemetry::json_escape(bench_).c_str());
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const entry& e = entries_[i];
       const summary& s = e.stats;
@@ -213,8 +207,7 @@ class bench_json_reporter {
 ///       default EBR domain's stats(), the pool's counters(), and every
 ///       count()ed bench counter (summed per name);
 ///   {"type":"span",...}                            one Chrome trace_event
-///       per span in the ring (LFST_TRACE builds; otherwise none);
-///   {"type":"meta","name":"kernel",...}            the search kernel.
+///       per span in the ring (LFST_TRACE builds; otherwise none).
 class telemetry_reporter {
  public:
   telemetry_reporter(int& argc, char** argv)
@@ -268,8 +261,6 @@ class telemetry_reporter {
     body += counters_line();
     body += trace::to_chrome_lines(trace::trace_registry::instance().drain(),
                                    metrics::ticks_per_us());
-    body += std::string("{\"type\":\"meta\",\"name\":\"kernel\",\"value\":\"") +
-            skiptree::selected_kernel_name() + "\"}\n";
     const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
     if (std::fclose(f) == 0 && ok) {
       std::fprintf(stderr, "telemetry sidecar written to %s\n", path_.c_str());

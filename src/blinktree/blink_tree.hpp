@@ -69,13 +69,11 @@ struct split_stats {
 };
 
 template <typename T, typename Compare = std::less<T>,
-          typename Alloc = lfst::alloc::pool_policy,
-          typename Kernel = skiptree::default_search_kernel>
+          typename Alloc = lfst::alloc::pool_policy>
 class blink_tree {
  public:
   using key_type = T;
   using alloc_t = Alloc;
-  using kernel_t = Kernel;
 
   blink_tree() : blink_tree(blink_tree_options{}) {}
 
@@ -303,13 +301,12 @@ class blink_tree {
     node(bool is_leaf, int lvl) : leaf(is_leaf), level(lvl) {}
   };
 
-  /// Encoded in-node search over a node's key vector via the pluggable
-  /// kernel (skiptree/detail/kernel.hpp): >= 0 found, < 0 encodes
-  /// -(insertion point) - 1.  The same seam the skip-tree uses, so kernel
-  /// A/B comparisons hold both structures to the same node-local cost.
+  /// Encoded in-node search over a node's key vector with the skip-tree's
+  /// search (skiptree/detail/kernel.hpp): >= 0 found, < 0 encodes
+  /// -(insertion point) - 1.
   int search_keys(const std::vector<T>& keys, const T& v) const {
-    return Kernel::search(keys.data(),
-                          static_cast<std::uint32_t>(keys.size()), v, cmp_);
+    return skiptree::node_search(
+        keys.data(), static_cast<std::uint32_t>(keys.size()), v, cmp_);
   }
 
   static std::size_t insertion_point(int i) noexcept {

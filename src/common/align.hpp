@@ -1,8 +1,9 @@
-// Cache-line alignment helpers.
+// Cache-line helpers.
 //
 // Concurrent counters, per-thread slots and lock words in this project are
 // padded to a cache line (actually two lines, to defeat adjacent-line
 // prefetchers on modern x86) so that independent writers never share a line.
+// `prefetch_ro` is the read prefetch the tree descents and leaf walks use.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +48,16 @@ struct alignas(kFalseSharingRange) padded {
 /// Round `n` up to a multiple of `align` (which must be a power of two).
 constexpr std::size_t align_up(std::size_t n, std::size_t align) noexcept {
   return (n + align - 1) & ~(align - 1);
+}
+
+/// Read prefetch into all cache levels; compiles to nothing where
+/// __builtin_prefetch is unavailable.
+inline void prefetch_ro(const void* p) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p, 0, 3);
+#else
+  (void)p;
+#endif
 }
 
 static_assert(align_up(1, 8) == 8);

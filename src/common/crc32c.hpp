@@ -8,11 +8,11 @@
 // (b) x86-64 has a dedicated instruction for it (SSE4.2 `crc32`), so the
 // WAL hot path pays ~0.1 cycles/byte instead of a table walk.
 //
-// Dispatch follows the simd.hpp idiom: one cached `__builtin_cpu_supports`
-// probe selects the hardware body, with a constexpr-built slice-by-1 table
-// as the portable fallback (and the reference the tests check the hardware
-// path against).  The value is the standard "reflected" CRC32C: init
-// 0xFFFFFFFF, final XOR, e.g. crc32c("123456789") == 0xE3069283.
+// Dispatch: one cached `__builtin_cpu_supports` probe selects the hardware
+// body, with a constexpr-built slice-by-1 table as the portable fallback
+// (and the reference the tests check the hardware path against).  The value
+// is the standard "reflected" CRC32C: init 0xFFFFFFFF, final XOR, e.g.
+// crc32c("123456789") == 0xE3069283.
 #pragma once
 
 #include <array>

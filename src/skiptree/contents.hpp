@@ -336,6 +336,11 @@ struct contents {
     return c;
   }
 
+  /// Byte offset of keys()[0] from the payload start.
+  static constexpr std::size_t keys_offset() noexcept {
+    return align_up(sizeof(contents), alignof(T));
+  }
+
  private:
   static void copy_keys_with_insert(const contents& src, contents& dst,
                                     std::uint32_t pos, const T& key) {
@@ -357,10 +362,6 @@ struct contents {
     if (alignof(T) > a) a = alignof(T);
     if (alignof(node_t*) > a) a = alignof(node_t*);
     return a;
-  }
-
-  static constexpr std::size_t keys_offset() noexcept {
-    return align_up(sizeof(contents), alignof(T));
   }
 
   static constexpr std::size_t children_offset(std::uint32_t nkeys) noexcept {

@@ -40,7 +40,6 @@
 #include "common/failpoint.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "common/trace.hpp"
 #include "reclaim/ebr.hpp"
 #include "skiptree/contents.hpp"
@@ -99,14 +98,12 @@ struct leaf_entry {
   std::uint32_t slot = 0;
 };
 
-template <typename T, typename Compare, typename Reclaim, typename Alloc,
-          typename Kernel = default_search_kernel>
+template <typename T, typename Compare, typename Reclaim, typename Alloc>
 struct tree_core {
   using key_type = T;
   using compare_t = Compare;
   using reclaim_t = Reclaim;
   using alloc_t = Alloc;
-  using kernel_t = Kernel;
   using contents_t = contents<T>;
   using node_t = tree_node<T>;
   using head_t = head_node<T>;
@@ -231,25 +228,32 @@ struct tree_core {
     contents_t::template destroy<Alloc>(c);
   }
 
-  /// In-node key search via the pluggable kernel (detail/kernel.hpp);
-  /// lower-bound semantics so that with duplicate routing elements the
-  /// descent uses the leftmost match (going too far right at a routing
-  /// level could skip the target, while landing left recovers over links).
-  /// This is the only call site of the kernel inside the skip-tree: every
-  /// operation module searches nodes through here.
+  /// In-node key search (detail/kernel.hpp); lower-bound semantics so that
+  /// with duplicate routing elements the descent uses the leftmost match
+  /// (going too far right at a routing level could skip the target, while
+  /// landing left recovers over links).  Every operation module searches
+  /// nodes through here.
   int search_keys(const contents_t& c, const T& v) const {
-    return Kernel::search(c.keys(), c.nkeys, v, cmp);
+    return node_search(c.keys(), c.nkeys, v, cmp);
   }
 
+  /// Bytes from the payload start through the first 32 keys (the paper's
+  /// default node width 1/q): the span `prefetch_payload` warms.
+  static constexpr std::size_t kPrefetchSpan =
+      contents_t::keys_offset() + 32 * sizeof(T);
+
   /// Warm the lines the upcoming `search_keys` will touch: a payload is one
-  /// contiguous [header | keys | children] block, so the first key lines sit
-  /// right behind the header line the caller just loaded.  Called by the
-  /// descent loops immediately after loading a child payload, overlapping
-  /// the key-block miss with the header reads.
+  /// contiguous [header | keys | children] block, so the key lines sit right
+  /// behind the header line the caller just loaded.  Called by the descent
+  /// loops immediately after loading a child payload.  The search's probes
+  /// are dependent loads, so without this each cold key line it reaches is
+  /// a serial miss; issuing every line up front overlaps them.
   static void prefetch_payload(const contents_t* c) noexcept {
     const char* p = reinterpret_cast<const char*>(c);
-    lfst::simd::prefetch_ro(p + 64);
-    lfst::simd::prefetch_ro(p + 128);
+    for (std::size_t off = kCacheLine; off < kPrefetchSpan;
+         off += kCacheLine) {
+      prefetch_ro(p + off);
+    }
   }
 
   /// The paper's `-i - 1 == cts.items.length` condition: the probe key is

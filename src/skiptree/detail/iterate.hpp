@@ -26,7 +26,7 @@
 #include <iterator>
 #include <span>
 
-#include "common/simd.hpp"
+#include "common/align.hpp"
 #include "skiptree/detail/core.hpp"
 
 namespace lfst::skiptree::detail {
@@ -63,11 +63,11 @@ class leaf_prefetcher {
     if (due != nullptr) {
       const auto* p = reinterpret_cast<const char*>(
           due->payload.load(std::memory_order_relaxed));
-      lfst::simd::prefetch_ro(p);
-      lfst::simd::prefetch_ro(p + 64);
+      lfst::prefetch_ro(p);
+      lfst::prefetch_ro(p + 64);
     }
     due = take();
-    if (due != nullptr) lfst::simd::prefetch_ro(due);
+    if (due != nullptr) lfst::prefetch_ro(due);
     head_ = (head_ + 1) % kLag;
   }
 

@@ -230,9 +230,8 @@ loaded_keys<T> load_keys(std::istream& in) {
 
 /// Write the tree's keys (ascending) to `out`.  Quiescent callers get an
 /// exact image; concurrent callers get a weakly-consistent one.
-template <typename T, typename Compare, typename Reclaim, typename Alloc,
-          typename Kernel>
-void save(const skip_tree<T, Compare, Reclaim, Alloc, Kernel>& tree,
+template <typename T, typename Compare, typename Reclaim, typename Alloc>
+void save(const skip_tree<T, Compare, Reclaim, Alloc>& tree,
           std::ostream& out) {
   std::vector<T> keys;
   keys.reserve(tree.size());
@@ -244,9 +243,8 @@ void save(const skip_tree<T, Compare, Reclaim, Alloc, Kernel>& tree,
 /// `opts_override` is provided.  The result is bulk-built optimal.
 template <typename T, typename Compare = std::less<T>,
           typename Reclaim = reclaim::ebr_policy,
-          typename Alloc = lfst::alloc::pool_policy,
-          typename Kernel = default_search_kernel>
-skip_tree<T, Compare, Reclaim, Alloc, Kernel> load(
+          typename Alloc = lfst::alloc::pool_policy>
+skip_tree<T, Compare, Reclaim, Alloc> load(
     std::istream& in, const skip_tree_options* opts_override = nullptr,
     typename Reclaim::domain_type& domain = Reclaim::default_domain()) {
   loaded_keys<T> lk = load_keys<T>(in);
@@ -265,7 +263,7 @@ skip_tree<T, Compare, Reclaim, Alloc, Kernel> load(
   } else {
     opts.q_log2 = lk.q_log2;
   }
-  return skip_tree<T, Compare, Reclaim, Alloc, Kernel>::from_sorted(
+  return skip_tree<T, Compare, Reclaim, Alloc>::from_sorted(
       std::span<const T>(lk.keys), opts, domain);
 }
 

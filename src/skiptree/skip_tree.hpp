@@ -48,12 +48,10 @@ namespace lfst::skiptree {
 
 template <typename T, typename Compare = std::less<T>,
           typename Reclaim = reclaim::ebr_policy,
-          typename Alloc = lfst::alloc::pool_policy,
-          typename Kernel = default_search_kernel>
+          typename Alloc = lfst::alloc::pool_policy>
 class skip_tree {
  public:
   using key_type = T;
-  using kernel_t = Kernel;
   using contents_t = contents<T>;
   using node_t = tree_node<T>;
   using head_t = head_node<T>;
@@ -289,12 +287,12 @@ class skip_tree {
   }
 
  private:
-  template <typename, typename, typename, typename, typename>
+  template <typename, typename, typename, typename>
   friend class skip_tree_inspector;
-  template <typename, typename, typename, typename, typename>
+  template <typename, typename, typename, typename>
   friend class skip_tree_health;
 
-  using core_t = detail::tree_core<T, Compare, Reclaim, Alloc, Kernel>;
+  using core_t = detail::tree_core<T, Compare, Reclaim, Alloc>;
 
   core_t core_;
 };

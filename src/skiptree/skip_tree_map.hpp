@@ -20,8 +20,7 @@ namespace lfst::skiptree {
 
 template <typename K, typename V, typename Compare = std::less<K>,
           typename Reclaim = reclaim::ebr_policy,
-          typename Alloc = lfst::alloc::pool_policy,
-          typename Kernel = default_search_kernel>
+          typename Alloc = lfst::alloc::pool_policy>
 class skip_tree_map {
  public:
   using key_type = K;
@@ -40,9 +39,7 @@ class skip_tree_map {
     }
   };
 
-  // The entry comparator is not std::less, so the SIMD kernel's fast path
-  // auto-disables and searches fall through to the branch-free scalar code.
-  using tree_t = skip_tree<entry, entry_compare, Reclaim, Alloc, Kernel>;
+  using tree_t = skip_tree<entry, entry_compare, Reclaim, Alloc>;
   using domain_t = typename Reclaim::domain_type;
 
   skip_tree_map() : skip_tree_map(skip_tree_options{}) {}

@@ -1,14 +1,13 @@
-// Kernel-equivalence fuzzing: every compiled search kernel must agree with
-// std::lower_bound on every input, at every forced ISA tier.
+// In-node search fuzzing: node_search must agree with std::lower_bound on
+// every input.
 //
-// The kernels (skiptree/detail/kernel.hpp) all implement one contract --
-// the encoded index `search_keys` has carried since the seed: >= 0 means
-// found at that index (leftmost match under duplicates), < 0 encodes
-// -(insertion point) - 1.  Coverage here spans nkeys 0..max, duplicate keys
-// adjacent to the probe, extreme values (min/max of the key type), signed
-// and unsigned 32/64-bit lanes, contents-block layouts (leaf vs routing,
-// inf set/unset), non-integral and non-std::less fallbacks, and the runtime
-// ISA override ladder (scalar -> sse2 -> avx2, clamped to hardware).
+// node_search (skiptree/detail/kernel.hpp) implements the encoded index
+// `search_keys` has carried since the seed: >= 0 means found at that index
+// (leftmost match under duplicates), < 0 encodes -(insertion point) - 1.
+// Coverage here spans nkeys 0..300, duplicate keys adjacent to the probe,
+// extreme values (min/max of the key type), signed and unsigned 32/64-bit
+// keys, contents-block layouts (leaf vs routing, inf set/unset), a reversed
+// order (std::greater) and string keys.
 #include "skiptree/detail/kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -23,20 +22,9 @@
 
 #include "skiptree/contents.hpp"
 #include "skiptree/detail/core.hpp"
-#include "skiptree/skip_tree.hpp"
 
 namespace lfst::skiptree {
 namespace {
-
-constexpr simd::isa kTiers[] = {simd::isa::scalar, simd::isa::sse2,
-                                simd::isa::avx2};
-
-/// RAII ISA override so a failing assertion cannot leak a forced tier into
-/// later tests.
-struct isa_guard {
-  explicit isa_guard(simd::isa i) { simd::set_isa_override(i); }
-  ~isa_guard() { simd::clear_isa_override(); }
-};
 
 /// The oracle: std::lower_bound, encoded exactly like search_keys.
 template <typename T, typename Compare>
@@ -47,17 +35,15 @@ int ref_search(const std::vector<T>& keys, const T& v, const Compare& cmp) {
   return -pos - 1;
 }
 
-template <typename Kernel, typename T, typename Compare>
+template <typename T, typename Compare>
 void expect_all_probes_match(const std::vector<T>& keys, const Compare& cmp,
                              const std::vector<T>& probes) {
   for (const T& v : probes) {
     const int want = ref_search(keys, v, cmp);
-    const int got = Kernel::search(keys.data(),
-                                   static_cast<std::uint32_t>(keys.size()), v,
-                                   cmp);
-    ASSERT_EQ(want, got)
-        << Kernel::name() << " kernel diverged on nkeys=" << keys.size()
-        << " (isa=" << simd::isa_name(simd::active()) << ")";
+    const int got = node_search(keys.data(),
+                                static_cast<std::uint32_t>(keys.size()), v,
+                                cmp);
+    ASSERT_EQ(want, got) << "node_search diverged on nkeys=" << keys.size();
   }
 }
 
@@ -81,15 +67,14 @@ std::vector<T> make_probes(const std::vector<T>& keys, Rng& rng) {
 template <typename T>
 class KernelFuzzTest : public ::testing::Test {};
 
-using LaneTypes =
+using KeyTypes =
     ::testing::Types<std::int32_t, std::uint32_t, std::int64_t, std::uint64_t>;
-TYPED_TEST_SUITE(KernelFuzzTest, LaneTypes);
+TYPED_TEST_SUITE(KernelFuzzTest, KeyTypes);
 
 // The core equivalence sweep: random sorted key vectors (with duplicates
-// forced adjacent), every kernel, every ISA tier.  nkeys covers 0 up past
-// both the SIMD window (64) and the widest node either tree builds (256 for
-// the b-link default M = 128).
-TYPED_TEST(KernelFuzzTest, AllKernelsMatchLowerBoundAtEveryIsa) {
+// forced adjacent).  nkeys covers 0 up past the widest node either tree
+// builds (256 for the b-link default M = 128).
+TYPED_TEST(KernelFuzzTest, MatchesLowerBound) {
   using T = TypeParam;
   std::mt19937_64 rng(0xC0FFEEu + sizeof(T));
   const std::less<T> cmp;
@@ -106,19 +91,13 @@ TYPED_TEST(KernelFuzzTest, AllKernelsMatchLowerBoundAtEveryIsa) {
         for (T& k : keys) k = static_cast<T>(k % 16);
       }
       std::sort(keys.begin(), keys.end());
-      const std::vector<T> probes = make_probes(keys, rng);
-      for (simd::isa tier : kTiers) {
-        isa_guard force(tier);
-        expect_all_probes_match<scalar_search_kernel>(keys, cmp, probes);
-        expect_all_probes_match<branchfree_search_kernel>(keys, cmp, probes);
-        expect_all_probes_match<simd_search_kernel>(keys, cmp, probes);
-      }
+      expect_all_probes_match(keys, cmp, make_probes(keys, rng));
     }
   }
 }
 
-// Extremes concentrated near the sign boundary, where a biased compare that
-// picked the wrong domain (signed vs unsigned) flips its verdict.
+// Extremes concentrated near the sign boundary, where a compare in the
+// wrong domain (signed vs unsigned) would flip its verdict.
 TYPED_TEST(KernelFuzzTest, SignBoundaryValues) {
   using T = TypeParam;
   const std::less<T> cmp;
@@ -131,19 +110,13 @@ TYPED_TEST(KernelFuzzTest, SignBoundaryValues) {
                       std::numeric_limits<T>::max()};
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  const std::vector<T> probes = keys;  // probe exactly the boundary values
-  for (simd::isa tier : kTiers) {
-    isa_guard force(tier);
-    expect_all_probes_match<scalar_search_kernel>(keys, cmp, probes);
-    expect_all_probes_match<branchfree_search_kernel>(keys, cmp, probes);
-    expect_all_probes_match<simd_search_kernel>(keys, cmp, probes);
-  }
+  expect_all_probes_match(keys, cmp, keys);  // probe the boundary values
 }
 
-// Kernels must search contents payload blocks exactly as they search plain
-// arrays: the block's key pointer is interior (after the header), and the
-// implicit +inf terminator / leaf flag are NOT the kernel's business --
-// nkeys alone bounds the scan, whatever inf and leaf say.
+// node_search must search contents payload blocks exactly as it searches
+// plain arrays: the block's key pointer is interior (after the header), and
+// the implicit +inf terminator / leaf flag are NOT the search's business --
+// nkeys alone bounds it, whatever inf and leaf say.
 TEST(KernelContentsTest, PayloadLayoutsAcrossInfLeafVariants) {
   using C = contents<int>;
   using N = tree_node<int>;
@@ -169,26 +142,17 @@ TEST(KernelContentsTest, PayloadLayoutsAcrossInfLeafVariants) {
           }
           c = C::make_routing(keys, kids, inf, nullptr);
         }
-        const std::vector<int> probes = make_probes(keys, rng);
-        for (simd::isa tier : kTiers) {
-          isa_guard force(tier);
-          for (const int v : probes) {
-            const int want = ref_search(keys, v, cmp);
-            ASSERT_EQ(want, scalar_search_kernel::search(c->keys(), c->nkeys,
-                                                         v, cmp));
-            ASSERT_EQ(want, branchfree_search_kernel::search(
-                                c->keys(), c->nkeys, v, cmp));
-            ASSERT_EQ(want,
-                      simd_search_kernel::search(c->keys(), c->nkeys, v, cmp));
-            // The descent predicates over the encoded index must agree with
-            // the payload's logical length, inf included.
-            using core_t = detail::tree_core<int, std::less<int>,
-                                             reclaim::ebr_policy,
-                                             lfst::alloc::pool_policy>;
-            EXPECT_EQ(core_t::is_past_end(want, *c),
-                      want < 0 && static_cast<std::uint32_t>(-want - 1) ==
-                                      c->logical_len());
-          }
+        for (const int v : make_probes(keys, rng)) {
+          const int want = ref_search(keys, v, cmp);
+          ASSERT_EQ(want, node_search(c->keys(), c->nkeys, v, cmp));
+          // The descent predicates over the encoded index must agree with
+          // the payload's logical length, inf included.
+          using core_t = detail::tree_core<int, std::less<int>,
+                                           reclaim::ebr_policy,
+                                           lfst::alloc::pool_policy>;
+          EXPECT_EQ(core_t::is_past_end(want, *c),
+                    want < 0 && static_cast<std::uint32_t>(-want - 1) ==
+                                    c->logical_len());
         }
         C::destroy(c);
       }
@@ -197,17 +161,9 @@ TEST(KernelContentsTest, PayloadLayoutsAcrossInfLeafVariants) {
   for (N* n : nodes) delete n;
 }
 
-// Incompatible instantiations must fall back, not miscompare: a custom
-// order on an integral type (std::greater) and a non-integral key type both
-// bypass the vector path by construction.
-TEST(KernelFallbackTest, CustomComparatorNeverTakesTheVectorPath) {
-  static_assert(!simd_kernel_compatible<std::int64_t, std::greater<long>>);
-  static_assert(!simd_kernel_compatible<std::string, std::less<std::string>>);
-  static_assert(!simd_kernel_compatible<float, std::less<float>>);
-  static_assert(!simd_kernel_compatible<std::int16_t, std::less<short>>);
-  static_assert(simd_kernel_compatible<std::int64_t, std::less<long>>);
-  static_assert(simd_kernel_compatible<std::uint32_t, std::less<>>);
-
+// A custom order: keys sorted descending under std::greater, with
+// duplicates.
+TEST(KernelOrderTest, GreaterOrderMatchesLowerBound) {
   std::mt19937_64 rng(7);
   const std::greater<long> cmp;
   for (int trial = 0; trial < 16; ++trial) {
@@ -215,104 +171,17 @@ TEST(KernelFallbackTest, CustomComparatorNeverTakesTheVectorPath) {
     std::uniform_int_distribution<long> dist(-50, 50);
     for (long& k : keys) k = dist(rng);
     std::sort(keys.begin(), keys.end(), cmp);  // descending under greater
-    const std::vector<long> probes = make_probes(keys, rng);
-    for (simd::isa tier : kTiers) {
-      isa_guard force(tier);
-      expect_all_probes_match<scalar_search_kernel>(keys, cmp, probes);
-      expect_all_probes_match<branchfree_search_kernel>(keys, cmp, probes);
-      expect_all_probes_match<simd_search_kernel>(keys, cmp, probes);
-    }
+    expect_all_probes_match(keys, cmp, make_probes(keys, rng));
   }
 }
 
-TEST(KernelFallbackTest, StringKeysAgreeAcrossKernels) {
+TEST(KernelOrderTest, StringKeysMatchLowerBound) {
   const std::less<std::string> cmp;
   std::vector<std::string> keys{"alpha", "bravo", "bravo", "charlie",
                                 "delta", "echo",  "golf"};
   std::vector<std::string> probes{"",     "alpha", "bravo", "carol",
                                   "echo", "golf",  "hotel"};
-  for (const auto& v : probes) {
-    const int want = ref_search(keys, v, cmp);
-    EXPECT_EQ(want, scalar_search_kernel::search(
-                        keys.data(), static_cast<std::uint32_t>(keys.size()),
-                        v, cmp));
-    EXPECT_EQ(want, branchfree_search_kernel::search(
-                        keys.data(), static_cast<std::uint32_t>(keys.size()),
-                        v, cmp));
-    EXPECT_EQ(want, simd_search_kernel::search(
-                        keys.data(), static_cast<std::uint32_t>(keys.size()),
-                        v, cmp));
-  }
-}
-
-// End-to-end: a tree instantiated with each kernel must expose the same set
-// through the same op stream.  (The kernels also run under every detail
-// layer in the conformance suites; this is the cheap in-suite mirror.)
-TEST(KernelTreeTest, TreesAgreeAcrossKernelsOnRandomOps) {
-  skip_tree<long, std::less<long>, reclaim::ebr_policy,
-            lfst::alloc::pool_policy, scalar_search_kernel>
-      scalar_tree;
-  skip_tree<long, std::less<long>, reclaim::ebr_policy,
-            lfst::alloc::pool_policy, branchfree_search_kernel>
-      bf_tree;
-  skip_tree<long, std::less<long>, reclaim::ebr_policy,
-            lfst::alloc::pool_policy, simd_search_kernel>
-      simd_tree;
-  std::mt19937_64 rng(11);
-  std::uniform_int_distribution<long> key(0, 499);
-  std::uniform_int_distribution<int> op(0, 99);
-  for (int step = 0; step < 20000; ++step) {
-    const long k = key(rng);
-    const int o = op(rng);
-    if (o < 50) {
-      const bool a = scalar_tree.add(k);
-      EXPECT_EQ(a, bf_tree.add(k));
-      EXPECT_EQ(a, simd_tree.add(k));
-    } else if (o < 80) {
-      const bool r = scalar_tree.remove(k);
-      EXPECT_EQ(r, bf_tree.remove(k));
-      EXPECT_EQ(r, simd_tree.remove(k));
-    } else {
-      const bool c = scalar_tree.contains(k);
-      EXPECT_EQ(c, bf_tree.contains(k));
-      EXPECT_EQ(c, simd_tree.contains(k));
-      long lb_a = -1, lb_b = -1, lb_c = -1;
-      const bool ha = scalar_tree.lower_bound(k, lb_a);
-      EXPECT_EQ(ha, bf_tree.lower_bound(k, lb_b));
-      EXPECT_EQ(ha, simd_tree.lower_bound(k, lb_c));
-      if (ha) {
-        EXPECT_EQ(lb_a, lb_b);
-        EXPECT_EQ(lb_a, lb_c);
-      }
-    }
-  }
-  EXPECT_EQ(scalar_tree.count_keys(), bf_tree.count_keys());
-  EXPECT_EQ(scalar_tree.count_keys(), simd_tree.count_keys());
-}
-
-TEST(KernelNameTest, NamesAreStableAndDispatchHonorsOverride) {
-  EXPECT_STREQ("scalar", scalar_search_kernel::name());
-  EXPECT_STREQ("branchfree", branchfree_search_kernel::name());
-  {
-    isa_guard force(simd::isa::scalar);
-    EXPECT_EQ(simd::active(), simd::isa::scalar);
-    EXPECT_STREQ("branchfree", simd_search_kernel::name());
-  }
-  // Whatever tier is active unforced, the reported name must describe it.
-  const simd::isa hw = simd::active();
-  EXPECT_STREQ(hw == simd::isa::scalar ? "branchfree" : simd::isa_name(hw),
-               simd_search_kernel::name());
-  // The overall build/runtime selection string the benches stamp.
-#if defined(LFST_SIMD)
-  EXPECT_STREQ(simd_search_kernel::name(), selected_kernel_name());
-#else
-  EXPECT_STREQ("scalar", selected_kernel_name());
-#endif
-  // Overrides clamp: forcing a tier above the hardware's cannot raise it.
-  {
-    isa_guard force(simd::isa::avx2);
-    EXPECT_LE(static_cast<int>(simd::active()), static_cast<int>(hw));
-  }
+  expect_all_probes_match(keys, cmp, probes);
 }
 
 }  // namespace

@@ -28,14 +28,6 @@ synthetic 20% regression -- must fail), exiting nonzero if the gate logic
 misbehaves.  CI runs this deterministic check plus a lenient --normalize
 diff of the real run.
 
-Bench documents carry a "kernel" field naming the in-node search kernel the
-run executed (scalar / branchfree / sse2 / avx2 -- see
-src/skiptree/detail/kernel.hpp).  Comparing runs with different kernels is a
-configuration error, not a performance signal, so the gate REFUSES when both
-documents name a kernel and the names differ; --ignore-kernel overrides for
-deliberate cross-kernel studies.  A document without the field (pre-kernel
-baselines) only warns.
-
 --check-metrics validates a --telemetry-json sidecar (the JSON-lines file
 benches write next to their bench JSON; bench/bench_common.hpp) instead of
 diffing throughput.  Two record types carry gateable numbers:
@@ -77,29 +69,7 @@ def load(path):
     entries = {e["name"]: e for e in doc.get("entries", [])}
     if not entries:
         raise SystemExit(f"bench_gate: no entries in {path}")
-    return doc, entries
-
-
-def check_kernels(base_doc, cand_doc, ignore, out=sys.stdout):
-    """Refuse mismatched-kernel comparisons.  Returns True when comparable."""
-    bk = base_doc.get("kernel")
-    ck = cand_doc.get("kernel")
-    if bk is None or ck is None:
-        missing = "baseline" if bk is None else "candidate"
-        print(f"bench_gate: WARNING: {missing} document has no kernel stamp; "
-              f"comparing anyway", file=out)
-        return True
-    if bk == ck:
-        return True
-    if ignore:
-        print(f"bench_gate: kernel mismatch ({bk} vs {ck}) ignored "
-              f"(--ignore-kernel)", file=out)
-        return True
-    print(f"bench_gate: REFUSING to compare: baseline kernel '{bk}' != "
-          f"candidate kernel '{ck}'.  Rebuild/rerun with matching kernels "
-          f"(LFST_SIMD / LFST_SIMD_ISA) or pass --ignore-kernel for a "
-          f"deliberate cross-kernel study.", file=out)
-    return False
+    return entries
 
 
 def joined(base, cand):
@@ -232,18 +202,6 @@ def self_test(base, threshold, noise_sigma):
               "(synthetic 20% regression slipped through)")
         return 1
     sink = io.StringIO()
-    if check_kernels({"kernel": "avx2"}, {"kernel": "scalar"}, False, sink):
-        print("bench_gate self-test: FAIL (kernel mismatch not refused)")
-        return 1
-    if not check_kernels({"kernel": "avx2"}, {"kernel": "scalar"}, True, sink):
-        print("bench_gate self-test: FAIL (--ignore-kernel did not override)")
-        return 1
-    if not check_kernels({"kernel": "avx2"}, {"kernel": "avx2"}, False, sink):
-        print("bench_gate self-test: FAIL (matching kernels refused)")
-        return 1
-    if not check_kernels({}, {"kernel": "avx2"}, False, sink):
-        print("bench_gate self-test: FAIL (unstamped baseline refused)")
-        return 1
 
     # Sketch expansion: telemetry summary lines must gate like gauges.
     with tempfile.NamedTemporaryFile("w", suffix=".jsonl",
@@ -286,7 +244,7 @@ def self_test(base, threshold, noise_sigma):
 
     print("bench_gate self-test: OK "
           "(clean run passes, 20% synthetic regression fails, "
-          "kernel mismatch refused, sketch quantiles and counters gate)")
+          "sketch quantiles and counters gate)")
     return 0
 
 
@@ -302,9 +260,6 @@ def main():
                     help="stddev multiples tolerated (default 2.0)")
     ap.add_argument("--normalize", action="store_true",
                     help="divide out the median machine-speed ratio")
-    ap.add_argument("--ignore-kernel", action="store_true",
-                    help="compare runs even when their search-kernel stamps "
-                         "differ (deliberate cross-kernel studies only)")
     ap.add_argument("--max-regressions", type=int, default=0,
                     help="entries allowed to regress before the gate fails "
                          "(default 0; CI uses a small slack for noisy "
@@ -334,14 +289,12 @@ def main():
     if not args.baseline:
         ap.error("--baseline is required unless --check-metrics")
 
-    base_doc, base = load(args.baseline)
+    base = load(args.baseline)
     if args.self_test:
         sys.exit(self_test(base, args.threshold, args.noise_sigma))
     if not args.candidate:
         ap.error("--candidate is required unless --self-test")
-    cand_doc, cand = load(args.candidate)
-    if not check_kernels(base_doc, cand_doc, args.ignore_kernel):
-        sys.exit(1)
+    cand = load(args.candidate)
     regressed = diff(base, cand, args.threshold, args.noise_sigma,
                      args.normalize)
     if len(regressed) > args.max_regressions:

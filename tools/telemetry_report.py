@@ -11,7 +11,6 @@ JSON records distinguished by their "type" field:
   heatmap            CAS-contention heatmap: total, per-level bucket rows
   counters           exact counts: {"values": {name: count}}
   span               one Chrome trace_event (ph "X"; LFST_TRACE builds)
-  meta               free-form key/value (e.g. the selected search kernel)
 
 The report has five parts:
 
@@ -71,7 +70,6 @@ class Sidecar:
         self.heatmaps: List[Dict] = []
         self.counters: Dict[str, int] = {}
         self.spans: List[Dict] = []
-        self.meta: List[Dict] = []
         self.skipped_lines = 0
 
 
@@ -99,8 +97,6 @@ def parse_sidecar(lines: Sequence[str]) -> Sidecar:
             out.counters.update(rec.get("values", {}))
         elif kind == "span":
             out.spans.append(rec)
-        elif kind == "meta":
-            out.meta.append(rec)
         else:
             out.skipped_lines += 1
     out.samples.sort(key=lambda s: s.get("seq", 0))
@@ -305,10 +301,6 @@ def report_series(samples: Sequence[Dict], wanted: Sequence[str]) -> str:
 def report(sidecar: Sidecar, series: Sequence[str]) -> Tuple[str, bool]:
     parts = []
     ok = True
-    if sidecar.meta:
-        tags = ", ".join(f"{m.get('name')}={m.get('value')}"
-                         for m in sidecar.meta)
-        parts.append(f"run meta: {tags}\n")
     if sidecar.schema:
         parts.append(
             f"schema: {len(sidecar.schema.get('series', []))} series, "
@@ -368,7 +360,6 @@ def self_test() -> int:
         json.dumps({"type": "span", "name": "skiptree.split", "ph": "X",
                     "pid": 0, "tid": 1, "ts": 1.0, "dur": 0,
                     "args": {"payload": 7}}),
-        json.dumps({"type": "meta", "name": "kernel", "value": "simd"}),
         "this line is not json {{{",
     ]
 
@@ -390,7 +381,6 @@ def self_test() -> int:
     assert "skiptree.cas" in text
     assert "L0" in text and "L2" in text
     assert "70.0%" in text          # level 0 share of 10 failures
-    assert "kernel=simd" in text
     assert "reclaim.limbo_bytes" in text
     assert "ebr.limbo_bytes_hwm" in text
     assert "pool.fallbacks" not in text  # zero counters are elided
