@@ -4,16 +4,16 @@
 // Exact counts live in each structure's instance counters (metrics.hpp) and
 // latency distributions in the telemetry plane's sketches (telemetry.hpp).
 // This layer answers "when, for how long, and in what order": every traced
-// operation (add / remove / contains on each of the four structures, pool
-// refills, EBR epoch advances, health probes, WAL flushes, checkpoints,
-// replays) records a span -- begin/end tsc timestamps plus the retry count
-// and traversal depth accumulated while it ran -- and every structural
-// event (a split, a root raise, one of the four Fig. 8 compaction
-// transforms, a new EBR epoch, a stalled reader) records a
-// zero-length span carrying one payload word.  The bench sidecar
-// (bench/bench_common.hpp) writes the merged dump as one Chrome
-// `trace_event` line per span; `tools/telemetry_report.py --perfetto`
-// wraps those lines into a document Perfetto loads.
+// operation (add / remove / contains on the skip-tree, skip-list and b-link
+// tree, pool refills, EBR epoch advances, health probes, WAL flushes,
+// checkpoints, replays) records a span -- begin/end tsc timestamps plus the
+// retry count and traversal depth accumulated while it ran -- and every
+// structural event (a split, a root raise, one of the four Fig. 8 compaction
+// transforms, a new EBR epoch, a stalled reader) records a zero-length span
+// carrying one payload word.  The bench sidecar (bench/bench_common.hpp) writes
+// the merged dump as one Chrome `trace_event` line per span;
+// `tools/telemetry_report.py --perfetto` wraps those lines into a document
+// Perfetto loads.
 //
 // Zero-cost contract: the machinery below is always compiled (the tier-1
 // suite exercises it in every build), but the LFST_T_* macros threaded
@@ -63,9 +63,6 @@ enum class sid : std::uint16_t {
   skiplist_contains,
   skiplist_add,
   skiplist_remove,
-  harris_contains,
-  harris_add,
-  harris_remove,
   blink_contains,
   blink_add,
   blink_remove,
@@ -97,9 +94,6 @@ inline constexpr std::string_view kSpanNames[] = {
     "skiplist.contains",
     "skiplist.add",
     "skiplist.remove",
-    "harris.contains",
-    "harris.add",
-    "harris.remove",
     "blink.contains",
     "blink.add",
     "blink.remove",

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace lfst::reclaim {
@@ -47,12 +46,6 @@ class retired_list {
     for (const retired_block& b : blocks_) b.reclaim();
     blocks_.clear();
     bytes_ = 0;
-  }
-
-  /// Move the contents out (the hazard domain's scan partitions them).
-  std::vector<retired_block> take() {
-    bytes_ = 0;
-    return std::move(blocks_);
   }
 
  private:

@@ -9,22 +9,17 @@
 // healthy thread must complete with the structure validating.  The contrast
 // run -- same churn, no subsystem -- demonstrates the unbounded growth the
 // cap and eviction exist to prevent (numbers quoted in EXPERIMENTS.md).
-//
-// Also here: hazard-pointer parity -- the existing chaos fault families run
-// against the hazard-backed Harris list, whose oracle is identical.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <set>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
-#include "list/harris_list.hpp"
 #include "reclaim/watchdog.hpp"
 #include "skiptree/skip_tree.hpp"
 #include "skiptree/validate.hpp"
@@ -243,102 +238,6 @@ TEST(ChaosReclaim, PinnedReaderUnboundedContrastGrowsPastCap) {
               out.ops, out.stats.limbo_bytes_hwm,
               static_cast<double>(out.stats.limbo_bytes_hwm) /
                   static_cast<double>(kCap));
-}
-
-// Hazard-pointer parity: the chaos fault families of test_chaos_skiptree
-// (OOM on every allocation site, alloc-path delays, both) against the
-// hazard-backed Harris list, with the same owner-partitioned mirror oracle.
-void run_hazard_list_schedule(bool oom, bool delay) {
-  registry::instance().reset_all();
-  // configure() REPLACES a site's policy, so the combined schedule must
-  // arm disjoint site sets: an earlier version armed fail and then yield
-  // on the same sites, leaving OOM only on alloc.pool.refill (hit ~0.3%
-  // of allocations) and flaking "injected nothing" about one run in six.
-  // Combined now keeps fail on the pool path -- alloc.pool.allocate is hit
-  // by essentially every insert, so injection is guaranteed -- and yields
-  // on the new/delete path only.
-  if (oom) {
-    for (const char* site :
-         {"alloc.pool.allocate", "alloc.pool.refill", "alloc.new_delete"}) {
-      if (delay && std::string_view(site) == "alloc.new_delete") continue;
-      registry::instance().configure(
-          site, policy{.act = action::fail, .probability = 0.02});
-    }
-  }
-  if (delay) {
-    std::vector<const char*> sites{"alloc.new_delete"};
-    if (!oom) sites.push_back("alloc.pool.allocate");
-    for (const char* site : sites) {
-      registry::instance().configure(
-          site,
-          policy{.act = action::yield, .probability = 0.05, .delay_iters = 4});
-    }
-  }
-  reclaim::hp_domain domain;
-  list::harris_list_hp<int> lst(domain);
-  std::vector<std::set<int>> mirrors(kThreads);
-  std::atomic<std::uint64_t> thrown{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      xoshiro256ss rng{thread_seed(0x4a21u, static_cast<std::uint64_t>(t))};
-      std::set<int>& mine = mirrors[static_cast<std::size_t>(t)];
-      for (int i = 0; i < 3000; ++i) {
-        const int key =
-            t + kThreads * static_cast<int>(rng.next() % (1024 / kThreads));
-        const std::uint64_t dice = rng.next() % 100;
-        try {
-          if (dice < 50) {
-            if (lst.add(key)) {
-              ASSERT_TRUE(mine.insert(key).second);
-            } else {
-              ASSERT_EQ(mine.count(key), 1u);
-            }
-          } else if (dice < 80) {
-            if (lst.remove(key)) {
-              ASSERT_EQ(mine.erase(key), 1u);
-            } else {
-              ASSERT_EQ(mine.count(key), 0u);
-            }
-          } else {
-            ASSERT_EQ(lst.contains(key), mine.count(key) == 1);
-          }
-        } catch (const std::bad_alloc&) {
-          thrown.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  registry::instance().reset_all();
-
-  std::set<int> expected;
-  for (const auto& m : mirrors) expected.insert(m.begin(), m.end());
-  EXPECT_EQ(lst.size(), expected.size());
-  for (int key : expected) {
-    ASSERT_TRUE(lst.contains(key)) << "surviving key lost: " << key;
-  }
-  for (int key = 0; key < 1024; ++key) {
-    if (expected.count(key) == 0) {
-      ASSERT_FALSE(lst.contains(key)) << "ghost key present: " << key;
-    }
-  }
-  if (oom) {
-    EXPECT_GT(thrown.load(), 0u) << "OOM schedule injected nothing";
-  }
-  domain.scan_now();
-}
-
-TEST(ChaosReclaim, HazardListOomSchedule) {
-  run_hazard_list_schedule(true, false);
-}
-
-TEST(ChaosReclaim, HazardListDelaySchedule) {
-  run_hazard_list_schedule(false, true);
-}
-
-TEST(ChaosReclaim, HazardListCombinedSchedule) {
-  run_hazard_list_schedule(true, true);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "blinktree/blink_tree.hpp"
 #include "common/telemetry.hpp"
 #include "common/trace.hpp"
-#include "list/harris_list.hpp"
 #include "skiplist/skip_list.hpp"
 #include "skiptree/skip_tree.hpp"
 #include "skiptree/validate.hpp"
@@ -79,18 +78,15 @@ TEST(Conformance, InstrumentedStructuresRunInThisBuild) {
   // that the structures still behave (macro sites are transparent).
   skiptree::skip_tree<long> tree;
   skiplist::skip_list<long> sl;
-  list::harris_list<long> hl;
   blinktree::blink_tree<long> bt;
   for (long k = 0; k < 200; ++k) {
     EXPECT_TRUE(tree.add(k));
     EXPECT_TRUE(sl.add(k));
-    EXPECT_TRUE(hl.add(k));
     EXPECT_TRUE(bt.add(k));
   }
   for (long k = 0; k < 200; k += 2) {
     EXPECT_TRUE(tree.remove(k));
     EXPECT_TRUE(sl.remove(k));
-    EXPECT_TRUE(hl.remove(k));
     EXPECT_TRUE(bt.remove(k));
   }
   EXPECT_TRUE(tree.contains(1));

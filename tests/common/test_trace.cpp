@@ -69,7 +69,7 @@ TEST(SpanRing, WraparoundKeepsNewestSpans) {
   span_ring ring;
   const std::uint64_t total = span_ring::kCapacity + 100;
   for (std::uint64_t i = 0; i < total; ++i) {
-    ring.push(sid::harris_add, i, i + 1, 0);
+    ring.push(sid::skiplist_add, i, i + 1, 0);
   }
   EXPECT_EQ(ring.pushed(), total);
   std::vector<span_record> out;
@@ -265,7 +265,7 @@ TEST(ChromeJson, EmptyDumpIsValid) {
 TEST(Macros, CompileInEveryBuild) {
   // In OFF builds these are ((void)0); in ON builds they record. Either
   // way they must compile and run without a registry precondition.
-  LFST_T_SPAN(::lfst::trace::sid::harris_contains);
+  LFST_T_SPAN(::lfst::trace::sid::skiplist_contains);
   LFST_T_RETRY();
   LFST_T_STEP();
   LFST_T_EVENT(::lfst::trace::sid::ebr_stall, 3);

@@ -8,8 +8,8 @@
 // configuration -- no LFST_FAILPOINTS required -- and is part of tier 1.
 // The runtime-failpoint chaos suite (tests/chaos/) covers the skip-tree's
 // concurrent schedules; this file covers the sequential contract of the
-// sibling structures: skip_list, harris_list, blink_tree, plus the
-// skip-tree itself for symmetry.
+// sibling structures: skip_list and blink_tree, plus the skip-tree itself
+// for symmetry.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +20,6 @@
 #include "alloc/pool.hpp"
 #include "blinktree/blink_tree.hpp"
 #include "common/rng.hpp"
-#include "list/harris_list.hpp"
 #include "skiplist/skip_list.hpp"
 #include "skiptree/skip_tree.hpp"
 #include "skiptree/validate.hpp"
@@ -110,7 +109,6 @@ void mixed_workload_with_failures(Set& s, int ops, bool expect_throws = true) {
 }
 
 struct skiplist_tag {};
-struct harris_tag {};
 struct blink_tag {};
 struct skiptree_tag {};
 
@@ -121,44 +119,6 @@ TEST(AllocFailureConformance, SkipList) {
       skiplist::skip_list_options{}, domain);
   mixed_workload_with_failures<decltype(l), A>(l, 6000);
   EXPECT_GT(A::failures.load(), 0);
-  domain.flush();
-}
-
-TEST(AllocFailureConformance, HarrisList) {
-  using A = flaky_alloc<harris_tag>;
-  reclaim::ebr_domain domain;
-  list::harris_list<long, std::less<long>, reclaim::ebr_policy, A> l(domain);
-  A::disarm();
-  std::set<long> mirror;
-  xoshiro256ss rng{0xfa11edu};
-  int thrown = 0;
-  for (int i = 0; i < 4000; ++i) {
-    const long key = static_cast<long>(rng.next() % 128);
-    const std::uint64_t dice = rng.next() % 100;
-    if (i % 3 == 0) A::fail_after((i / 3) % 2);
-    try {
-      // Evaluate the list op FIRST: if it throws, the mirror stays put
-      // (argument evaluation inside EXPECT_EQ is unsequenced).
-      if (dice < 50) {
-        const bool added = l.add(key);
-        EXPECT_EQ(added, mirror.insert(key).second);
-      } else if (dice < 80) {
-        const bool removed = l.remove(key);
-        EXPECT_EQ(removed, mirror.erase(key) == 1u);
-      } else {
-        const bool present = l.contains(key);
-        EXPECT_EQ(present, mirror.count(key) == 1u);
-      }
-    } catch (const std::bad_alloc&) {
-      ++thrown;
-    }
-    A::disarm();
-  }
-  EXPECT_GT(thrown, 0);
-  for (long k = 0; k < 128; ++k) {
-    ASSERT_EQ(l.contains(k), mirror.count(k) == 1u) << "final audit: " << k;
-  }
-  EXPECT_EQ(l.size(), mirror.size());
   domain.flush();
 }
 

@@ -1,4 +1,4 @@
-// Differential fuzzing: all six ordered-set implementations execute the
+// Differential fuzzing: all five ordered-set implementations execute the
 // SAME randomized operation tape, step by step, and every return value must
 // agree with every other implementation's (and with std::set).  A single
 // divergence pinpoints the operation index, the key, and the disagreeing
@@ -16,7 +16,6 @@
 #include "avltree/snap_tree.hpp"
 #include "blinktree/blink_tree.hpp"
 #include "common/rng.hpp"
-#include "list/harris_list.hpp"
 #include "skiplist/skip_list.hpp"
 #include "skiptree/skip_tree.hpp"
 #include "skiptree/validate.hpp"
@@ -28,7 +27,6 @@ struct fuzz_params {
   std::uint64_t seed;
   std::uint64_t key_range;
   int ops;
-  bool use_list;  // the O(n) list only joins small-range tapes
 };
 
 std::string fuzz_name(const ::testing::TestParamInfo<fuzz_params>& info) {
@@ -47,7 +45,6 @@ TEST_P(DifferentialFuzz, AllImplementationsAgreeOnEveryStep) {
   avltree::snap_tree<long> snap;
   blinktree::blink_tree<long> blink(
       blinktree::blink_tree_options{/*min_node_size=*/4});
-  list::harris_list<long> hlist;
 
   xoshiro256ss rng(p.seed);
   for (int i = 0; i < p.ops; ++i) {
@@ -62,9 +59,6 @@ TEST_P(DifferentialFuzz, AllImplementationsAgreeOnEveryStep) {
         ASSERT_EQ(opt.add(k), expected) << "opt-tree add op " << i;
         ASSERT_EQ(snap.add(k), expected) << "snap-tree add op " << i;
         ASSERT_EQ(blink.add(k), expected) << "b-link add op " << i;
-        if (p.use_list) {
-          ASSERT_EQ(hlist.add(k), expected) << "list add op " << i;
-        }
         break;
       case 1:
         expected = oracle.erase(k) != 0;
@@ -73,9 +67,6 @@ TEST_P(DifferentialFuzz, AllImplementationsAgreeOnEveryStep) {
         ASSERT_EQ(opt.remove(k), expected) << "opt-tree rm op " << i;
         ASSERT_EQ(snap.remove(k), expected) << "snap-tree rm op " << i;
         ASSERT_EQ(blink.remove(k), expected) << "b-link rm op " << i;
-        if (p.use_list) {
-          ASSERT_EQ(hlist.remove(k), expected) << "list rm op " << i;
-        }
         break;
       default:
         expected = oracle.count(k) != 0;
@@ -84,9 +75,6 @@ TEST_P(DifferentialFuzz, AllImplementationsAgreeOnEveryStep) {
         ASSERT_EQ(opt.contains(k), expected) << "opt-tree has op " << i;
         ASSERT_EQ(snap.contains(k), expected) << "snap-tree has op " << i;
         ASSERT_EQ(blink.contains(k), expected) << "b-link has op " << i;
-        if (p.use_list) {
-          ASSERT_EQ(hlist.contains(k), expected) << "list has op " << i;
-        }
     }
   }
 
@@ -115,18 +103,15 @@ TEST_P(DifferentialFuzz, AllImplementationsAgreeOnEveryStep) {
 INSTANTIATE_TEST_SUITE_P(
     Tapes, DifferentialFuzz,
     ::testing::Values(
-        // Small ranges: heavy key collision, lots of duplicate/absent paths
-        // (the list joins these).
-        fuzz_params{1, 8, 20000, true}, fuzz_params{2, 64, 20000, true},
-        fuzz_params{3, 256, 20000, true},
+        // Small ranges: heavy key collision, lots of duplicate/absent paths.
+        fuzz_params{1, 8, 20000}, fuzz_params{2, 64, 20000},
+        fuzz_params{3, 256, 20000},
         // Medium and large ranges.
-        fuzz_params{4, 4096, 40000, false},
-        fuzz_params{5, 1 << 20, 40000, false},
-        fuzz_params{6, std::uint64_t{1} << 40, 40000, false},
+        fuzz_params{4, 4096, 40000}, fuzz_params{5, 1 << 20, 40000},
+        fuzz_params{6, std::uint64_t{1} << 40, 40000},
         // More seeds at the collision-heavy end.
-        fuzz_params{7, 16, 30000, true}, fuzz_params{8, 1024, 30000, false},
-        fuzz_params{9, 2, 10000, true},
-        fuzz_params{10, 1, 5000, true}),
+        fuzz_params{7, 16, 30000}, fuzz_params{8, 1024, 30000},
+        fuzz_params{9, 2, 10000}, fuzz_params{10, 1, 5000}),
     fuzz_name);
 
 }  // namespace

@@ -7,34 +7,19 @@
 //   * reclaim::leaky_policy -- parks retired payloads until the domain
 //     dies; the "GC will get it eventually" upper bound.
 //
-// Hazard pointers (reclaim::hp_domain) deliberately do NOT fit, and this
-// file is also the promised documentation of exactly why:
+// A per-pointer slot scheme such as hazard pointers cannot satisfy that
+// contract.  The tree asks a policy for `guard_type`, an RAII pin that
+// makes EVERY payload reachable during the guarded operation safe to
+// dereference.  add() keeps the payload snapshot of every node on its
+// descent alive at once -- the `srchs` array spans up to max_height + 1
+// levels (25 at the default options, 33 at kMaxHeightLimit) -- and
+// remove()'s compaction also holds parent/child/sibling payloads while it
+// decides a transform.  A fixed budget of per-thread slots cannot cover
+// that set, and a publish-and-revalidate per hop would land on the
+// wait-free contains() fast path.
 //
-//   1. The tree's contract asks a policy for `guard_type`, an RAII pin
-//      that makes EVERY payload reachable during the guarded operation
-//      safe to dereference.  hp_domain exports no such type -- its
-//      `holder` protects individual pointers one slot at a time, and each
-//      protection needs the load/re-validate handshake.
-//   2. The slot budget cannot cover the tree's working set.  hp_domain
-//      provides kHpSlotsPerThread = 8 slots, a bound chosen for flat
-//      structures that hold prev/curr/next (the Harris list uses 3).  The
-//      skip-tree's add() keeps the payload snapshot of every node on its
-//      descent path alive simultaneously -- the `srchs` array spans up to
-//      max_height + 1 levels (25 at the default options, 33 at the
-//      kMaxHeightLimit) -- and remove()'s compaction additionally pins
-//      parent/child/sibling payloads while deciding a transform.  Bounded
-//      per-thread slots cannot express "protect this unbounded-by-8 set".
-//   3. Validation cost lands on the traversal fast path.  Each level of a
-//      wait-free contains() would pay hazard-publish + re-read per hop,
-//      defeating the point of the multiway layout (one cache miss per
-//      level).  This is the classic HP-vs-EBR trade-off; the paper's JVM
-//      artifact sidesteps it with the garbage collector, and EBR is this
-//      port's equivalent.
-//
-// So: the conformance suite below instantiates the tree with both
-// conforming policies (on top of both allocation policies) and checks the
-// same behavioral battery; hp_domain stays the Harris list's tool (see
-// list/harris_list.hpp's harris_list_hp), where 3 slots suffice.
+// The battery below instantiates the tree with both policies (on top of
+// both allocation policies) and checks the same behaviour for each.
 #include <gtest/gtest.h>
 
 #include <algorithm>

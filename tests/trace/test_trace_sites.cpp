@@ -1,7 +1,7 @@
 // ON-only (-DLFST_TRACE) site coverage: the LFST_T_* annotations threaded
-// through the four structures, the pool, and EBR must actually record
-// spans and events with the right ids -- the retry/step notes must land on
-// the *operation* spans that were live when the deep sites fired, and every
+// through the three traced structures, the pool, and EBR must actually record
+// spans and events with the right ids -- the retry/step notes must land on the
+// *operation* spans that were live when the deep sites fired, and every
 // structural event must agree with the structure's exact counters.
 //
 // Each case quiesces (joins its threads) before draining, so counts are
@@ -20,7 +20,6 @@
 
 #include "blinktree/blink_tree.hpp"
 #include "common/trace.hpp"
-#include "list/harris_list.hpp"
 #include "reclaim/ebr.hpp"
 #include "skiplist/skip_list.hpp"
 #include "skiptree/health.hpp"
@@ -151,27 +150,6 @@ TEST(SkipListSpans, OperationsRecord) {
   EXPECT_EQ(at(n, sid::skiplist_add), 50u);
   EXPECT_EQ(at(n, sid::skiplist_contains), 50u);
   EXPECT_EQ(at(n, sid::skiplist_remove), 50u);
-}
-
-TEST(HarrisSpans, BothFlavorsRecord) {
-  trace_registry::instance().reset();
-  {
-    reclaim::ebr_domain domain;
-    list::harris_list<int> ebr_list(domain);
-    for (int k = 0; k < 20; ++k) ASSERT_TRUE(ebr_list.add(k));
-    for (int k = 0; k < 20; ++k) ASSERT_TRUE(ebr_list.contains(k));
-    for (int k = 0; k < 20; ++k) ASSERT_TRUE(ebr_list.remove(k));
-  }
-  {
-    list::harris_list_hp<int> hp_list;
-    for (int k = 0; k < 20; ++k) ASSERT_TRUE(hp_list.add(k));
-    for (int k = 0; k < 20; ++k) ASSERT_TRUE(hp_list.contains(k));
-    for (int k = 0; k < 20; ++k) ASSERT_TRUE(hp_list.remove(k));
-  }
-  const auto n = tally(trace_registry::instance().drain());
-  EXPECT_EQ(at(n, sid::harris_add), 40u);
-  EXPECT_EQ(at(n, sid::harris_contains), 40u);
-  EXPECT_EQ(at(n, sid::harris_remove), 40u);
 }
 
 TEST(BlinkSpans, OperationsRecord) {
