@@ -8,6 +8,10 @@
 //   LFST_BENCH_TRIALS  repetitions per configuration   (default 3; paper 64)
 //   LFST_BENCH_THREADS comma-separated thread counts   (default "1,2,4,8")
 //
+// Each value must be a whole number of at least 1 (thread counts at most
+// reclaim::kMaxThreads); anything else throws std::invalid_argument naming
+// the variable before any trial starts.
+//
 // The defaults are sized for a small CI-class machine; raising OPS/TRIALS
 // toward the paper's 5M x 64 sharpens the statistics without changing the
 // harness.
@@ -26,12 +30,17 @@
 //       tools/telemetry_report.py (add --perfetto OUT for a trace file).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -45,24 +54,51 @@
 
 namespace lfst::bench {
 
-inline std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+/// Parse `text`, the value of environment variable `name`, as a decimal
+/// count in [1, max].  Non-numeric input, trailing characters, zero and
+/// values above `max` throw std::invalid_argument naming the variable.
+inline std::size_t parse_count(const char* name, std::string_view text,
+                               std::size_t max) {
+  unsigned long long v = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size() || v < 1 ||
+      v > max) {
+    const std::string range =
+        max == std::numeric_limits<std::size_t>::max()
+            ? "at least 1"
+            : "from 1 to " + std::to_string(max);
+    throw std::invalid_argument(std::string(name) + "=\"" +
+                                std::string(text) +
+                                "\": expected a whole number " + range);
+  }
+  return static_cast<std::size_t>(v);
 }
 
+/// A count in [1, max] from the environment; `fallback` when unset or empty.
+inline std::size_t env_size(
+    const char* name, std::size_t fallback,
+    std::size_t max = std::numeric_limits<std::size_t>::max()) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  return parse_count(name, v, max);
+}
+
+/// A comma-separated list of thread counts, each in [1, kMaxThreads] (the
+/// EBR domain's slot limit); `fallback` when unset or empty.
 inline std::vector<int> env_threads(const char* name,
                                     std::vector<int> fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
   std::vector<int> out;
-  for (const char* p = v; *p != '\0';) {
-    out.push_back(std::atoi(p));
-    const char* comma = std::strchr(p, ',');
-    if (comma == nullptr) break;
-    p = comma + 1;
+  std::string_view rest = v;
+  for (;;) {
+    const std::size_t comma = rest.find(',');
+    out.push_back(static_cast<int>(
+        parse_count(name, rest.substr(0, comma), reclaim::kMaxThreads)));
+    if (comma == std::string_view::npos) return out;
+    rest.remove_prefix(comma + 1);
   }
-  return out.empty() ? fallback : out;
 }
 
 struct bench_config {
@@ -73,8 +109,9 @@ struct bench_config {
   static bench_config from_env() {
     bench_config c;
     c.ops = env_size("LFST_BENCH_OPS", c.ops);
-    c.trials = static_cast<int>(env_size("LFST_BENCH_TRIALS",
-                                         static_cast<std::size_t>(c.trials)));
+    c.trials = static_cast<int>(
+        env_size("LFST_BENCH_TRIALS", static_cast<std::size_t>(c.trials),
+                 static_cast<std::size_t>(std::numeric_limits<int>::max())));
     c.threads = env_threads("LFST_BENCH_THREADS", c.threads);
     return c;
   }
@@ -277,9 +314,6 @@ class telemetry_reporter {
     count("ebr.limbo_blocks", d.limbo_blocks);
     count("ebr.limbo_bytes", d.limbo_bytes);
     count("ebr.limbo_bytes_hwm", d.limbo_bytes_hwm);
-    count("ebr.overflow_blocks", d.overflow_blocks);
-    count("ebr.overflow_bytes", d.overflow_bytes);
-    count("ebr.overflow_bytes_hwm", d.overflow_bytes_hwm);
     const alloc::alloc_counters a = alloc::pool_policy::counters();
     count("pool.allocations", a.allocations);
     count("pool.hits", a.pool_hits);

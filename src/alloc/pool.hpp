@@ -168,22 +168,6 @@ class pool {
       return;
     }
     if (c->free_lists[ci].size() > kCacheCap) spill(*c, ci);
-    // Memory-pressure trim: when the reclamation watchdog bumps the
-    // pressure generation, the next free on each thread returns its whole
-    // cache to the shared lists.  One relaxed load on the fast path.
-    const std::uint64_t gen =
-        pressure_generation().load(std::memory_order_relaxed);
-    if (gen != c->seen_pressure_generation) {
-      c->seen_pressure_generation = gen;
-      trim_all(*c);
-    }
-  }
-
-  /// Ask every thread to return its cached blocks to the shared free lists
-  /// at its next deallocation (called by the reclamation watchdog when the
-  /// limbo cap is under pressure).  Cheap, advisory, safe from any thread.
-  static void request_trim() noexcept {
-    pressure_generation().fetch_add(1, std::memory_order_relaxed);
   }
 
   static alloc_counters counters() noexcept {
@@ -297,7 +281,6 @@ class pool {
 
   struct tls_cache {
     std::vector<void*> free_lists[kClasses];
-    std::uint64_t seen_pressure_generation = 0;
 
     ~tls_cache() {
       for (int ci = 0; ci < kClasses; ++ci) {
@@ -321,29 +304,6 @@ class pool {
     if (tls_cache::dead_flag()) return nullptr;
     thread_local tls_cache c;
     return &c;
-  }
-
-  static std::atomic<std::uint64_t>& pressure_generation() noexcept {
-    static std::atomic<std::uint64_t> gen{0};
-    return gen;
-  }
-
-  /// Return the entire thread cache to the shared lists (pressure trim).
-  static void trim_all(tls_cache& c) noexcept {
-    for (int ci = 0; ci < kClasses; ++ci) {
-      std::vector<void*>& list = c.free_lists[ci];
-      if (list.empty()) continue;
-      size_class& sc = global().classes[ci];
-      lock(sc);
-      try {
-        sc.free_list.insert(sc.free_list.end(), list.begin(), list.end());
-      } catch (const std::bad_alloc&) {
-        unlock(sc);
-        continue;  // keep this class cached; trim what we can
-      }
-      unlock(sc);
-      list.clear();
-    }
   }
 
   /// Slow path: the thread cache overflowed; move a batch of blocks back to
@@ -456,7 +416,6 @@ struct pool_policy {
   static alloc_counters counters() noexcept {
     return detail::pool::counters();
   }
-  static void request_trim() noexcept { detail::pool::request_trim(); }
 };
 
 }  // namespace lfst::alloc

@@ -24,24 +24,21 @@
 //
 // Stall tolerance (DESIGN.md Sec. 8).  Classic EBR's failure mode is a single
 // preempted, stalled, or dead reader pinning the epoch forever, growing
-// garbage without bound.  This domain adds three cooperating mechanisms, none
+// garbage without bound.  This domain adds two cooperating mechanisms, neither
 // of which ever frees a block a pinned reader might still hold:
-//  * Byte-exact limbo accounting with a configurable cap
-//    (`reclaim_limits::max_limbo_bytes`): once per-slot limbo would exceed
-//    the cap, retire() parks blocks on a domain overflow list instead, so the
-//    in-limbo footprint high-watermark never exceeds the cap.  Overflow
-//    blocks obey the same grace-period rule as limbo.
 //  * Watchdog-side stall detection (`stall_tick`): a slot that publishes the
 //    same lagging epoch across ticks for longer than a tsc-measured age is
 //    flagged for eviction.
 //  * Cooperative reader eviction: `guard::check()` -- one relaxed load on
 //    the slot's own cache line -- lets a flagged-but-alive reader republish
 //    a fresh epoch at a traversal safe point and restart its operation.
+// Limbo is accounted byte-exactly (`stats()`), so the cost of a stall is
+// visible, but nothing caps it: eviction is the only thing that bounds it.
 //
 // The contract: a reader that never reaches a safe point (wedged, or inside
-// a walk without one) blocks every grace period, and the overflow list grows
-// without bound for as long as it stays pinned -- but nothing it might still
-// hold is ever freed.  Neutralising such a reader safely would need recovery
+// a walk without one) blocks every grace period, and limbo grows without
+// bound for as long as it stays pinned -- but nothing it might still hold is
+// ever freed.  Neutralising such a reader safely would need recovery
 // code inside every data structure (DEBRA+, arXiv 1712.05406); this repo has
 // none, so a wedged reader costs memory, never safety.
 #pragma once
@@ -52,7 +49,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <unordered_set>
-#include <vector>
 
 #include "common/align.hpp"
 #include "common/failpoint.hpp"
@@ -68,14 +64,6 @@ inline constexpr std::size_t kMaxThreads = 256;
 
 class ebr_domain;
 
-/// Knobs for the bounded-limbo guarantee.
-struct reclaim_limits {
-  /// Domain-wide cap on bytes held in per-slot limbo lists; 0 = unbounded
-  /// (classic EBR).  Blocks retired past the cap go to the overflow list,
-  /// so the limbo-bytes high-watermark never exceeds this value.
-  std::size_t max_limbo_bytes = 0;
-};
-
 /// Inputs to one watchdog detection pass (ages in tsc ticks; the caller --
 /// normally `reclaim_watchdog` -- owns the tsc-to-wall-clock calibration).
 struct stall_params {
@@ -85,13 +73,11 @@ struct stall_params {
 
 /// What one detection pass saw and did.
 struct stall_report {
-  std::size_t pinned = 0;          ///< slots pinned at scan time
-  std::size_t stalled = 0;         ///< lagging slots past the stall age
-  std::size_t flagged = 0;         ///< eviction requests issued this pass
-  std::size_t overflow_freed = 0;  ///< expired overflow blocks freed
-  std::size_t limbo_bytes = 0;     ///< in-limbo bytes after the pass
-  std::size_t overflow_bytes = 0;  ///< overflow bytes after the pass
-  bool advanced = false;           ///< try_advance() succeeded
+  std::size_t pinned = 0;       ///< slots pinned at scan time
+  std::size_t stalled = 0;      ///< lagging slots past the stall age
+  std::size_t flagged = 0;      ///< eviction requests made this pass
+  std::size_t limbo_bytes = 0;  ///< in-limbo bytes after the pass
+  bool advanced = false;        ///< try_advance() succeeded
 };
 
 /// Result of a flush pass.  `skipped_slots` non-zero means the domain was
@@ -101,7 +87,6 @@ struct flush_result {
   std::size_t flushed_blocks = 0;
   std::size_t flushed_bytes = 0;
   std::size_t skipped_slots = 0;
-  std::size_t overflow_freed = 0;
 
   bool clean() const noexcept { return skipped_slots == 0; }
 };
@@ -111,9 +96,6 @@ struct domain_stats {
   std::size_t limbo_blocks = 0;
   std::size_t limbo_bytes = 0;
   std::size_t limbo_bytes_hwm = 0;
-  std::size_t overflow_blocks = 0;
-  std::size_t overflow_bytes = 0;
-  std::size_t overflow_bytes_hwm = 0;
   std::uint64_t epoch = 0;
 };
 
@@ -170,11 +152,10 @@ class ebr_domain {
   ebr_domain(const ebr_domain&) = delete;
   ebr_domain& operator=(const ebr_domain&) = delete;
 
-  /// Destructor reclaims everything still in limbo (and parked on the
-  /// overflow list).  Callers must guarantee quiescence (no guards held, no
-  /// further retires).  Exiting threads that still hold slot references
-  /// consult the live-domain registry so they never touch a destroyed
-  /// domain.
+  /// Destructor reclaims everything still in limbo.  Callers must
+  /// guarantee quiescence (no guards held, no further retires).  Exiting
+  /// threads that still hold slot references consult the live-domain
+  /// registry so they never touch a destroyed domain.
   ~ebr_domain() {
     {
       std::lock_guard<std::mutex> g(live_registry().mu);
@@ -185,7 +166,6 @@ class ebr_domain {
       detail::ebr_slot& s = slots_[i];
       for (retired_list& l : s.limbo) l.reclaim_all();
     }
-    for (const overflow_entry& e : overflow_) e.block.reclaim();
   }
 
   /// The process-wide default domain.
@@ -195,15 +175,6 @@ class ebr_domain {
   }
 
   class guard;
-
-  // --- configuration ---------------------------------------------------------
-
-  void set_limits(reclaim_limits l) noexcept {
-    max_limbo_bytes_.store(l.max_limbo_bytes, std::memory_order_relaxed);
-  }
-  reclaim_limits limits() const noexcept {
-    return reclaim_limits{max_limbo_bytes_.load(std::memory_order_relaxed)};
-  }
 
   // --- retire ----------------------------------------------------------------
 
@@ -226,22 +197,14 @@ class ebr_domain {
     // would be off by one: the global may already be pinned+1 at unlink
     // time, and a reader pinned there could outlive the grace period.
     const std::uint64_t g = global_epoch_.load(std::memory_order_seq_cst);
-    if (!reserve_limbo_bytes(b.bytes)) {
-      // Bounded-limbo guarantee: the block waits out its grace period on
-      // the overflow list instead, keeping the limbo high-watermark under
-      // the cap even while a stalled reader blocks collection.
-      defer_to_overflow(b, g);
-    } else {
-      s.lock_limbo();
-      stash(s, g, b);
-      s.unlock_limbo();
-      limbo_blocks_.fetch_add(1, std::memory_order_relaxed);
-    }
+    account_limbo_add(b.bytes);
+    s.lock_limbo();
+    stash(s, g, b);
+    s.unlock_limbo();
     if (++s.retire_ticks >= kAdvanceEvery) {
       s.retire_ticks = 0;
       try_advance();
       collect(s);
-      drain_overflow();
     }
   }
 
@@ -291,7 +254,6 @@ class ebr_domain {
       }
       s.unlock_limbo();
     }
-    r.overflow_freed = drain_overflow();
     return r;
   }
 
@@ -327,17 +289,13 @@ class ebr_domain {
     d.limbo_blocks = limbo_blocks_.load(std::memory_order_relaxed);
     d.limbo_bytes = limbo_bytes_.load(std::memory_order_relaxed);
     d.limbo_bytes_hwm = limbo_bytes_hwm_.load(std::memory_order_relaxed);
-    d.overflow_blocks = overflow_blocks_.load(std::memory_order_relaxed);
-    d.overflow_bytes = overflow_bytes_.load(std::memory_order_relaxed);
-    d.overflow_bytes_hwm =
-        overflow_bytes_hwm_.load(std::memory_order_relaxed);
     d.epoch = global_epoch_.load(std::memory_order_acquire);
     return d;
   }
 
   // --- stall detection (watchdog entry point) --------------------------------
 
-  /// One detection/advance/drain pass.  Must be driven by at most one
+  /// One detection/advance pass.  Must be driven by at most one
   /// thread at a time (normally a `reclaim_watchdog`); the per-slot
   /// observation fields are unsynchronized stall-driver state.  A stalled
   /// slot is only ever flagged: it keeps blocking the epoch until it
@@ -373,9 +331,7 @@ class ebr_domain {
       }
     }
     r.advanced = try_advance();
-    r.overflow_freed = drain_overflow();
     r.limbo_bytes = limbo_bytes_.load(std::memory_order_relaxed);
-    r.overflow_bytes = overflow_bytes_.load(std::memory_order_relaxed);
     return r;
   }
 
@@ -591,30 +547,16 @@ class ebr_domain {
 
   // --- limbo accounting ------------------------------------------------------
 
-  static void raise_hwm(std::atomic<std::size_t>& hwm,
-                        std::size_t v) noexcept {
-    std::size_t cur = hwm.load(std::memory_order_relaxed);
-    while (cur < v && !hwm.compare_exchange_weak(cur, v,
-                                                 std::memory_order_relaxed)) {
-    }
-  }
-
-  /// Reserve `bytes` of limbo budget, or refuse when a non-zero cap would
-  /// be exceeded.  The reservation is a CAS *before* the stash, so the cap
-  /// is never overshot even transiently by racing retirers -- the invariant
-  /// `limbo_bytes_hwm <= max_limbo_bytes` is exact, not approximate.
-  bool reserve_limbo_bytes(std::size_t bytes) noexcept {
-    if (bytes == 0) return true;  // unknown size: cannot be capped
-    const std::size_t cap = max_limbo_bytes_.load(std::memory_order_relaxed);
-    std::size_t cur = limbo_bytes_.load(std::memory_order_relaxed);
-    for (;;) {
-      if (cap != 0 && cur + bytes > cap) return false;
-      if (limbo_bytes_.compare_exchange_weak(cur, cur + bytes,
-                                             std::memory_order_relaxed)) {
-        const std::size_t nb = cur + bytes;
-        raise_hwm(limbo_bytes_hwm_, nb);
-        return true;
-      }
+  /// Count one retired block of `bytes` into limbo and raise the byte
+  /// high-watermark.
+  void account_limbo_add(std::size_t bytes) noexcept {
+    limbo_blocks_.fetch_add(1, std::memory_order_relaxed);
+    if (bytes == 0) return;  // unknown footprint: counted as a block only
+    const std::size_t nb =
+        limbo_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    std::size_t hwm = limbo_bytes_hwm_.load(std::memory_order_relaxed);
+    while (hwm < nb && !limbo_bytes_hwm_.compare_exchange_weak(
+                           hwm, nb, std::memory_order_relaxed)) {
     }
   }
 
@@ -623,68 +565,14 @@ class ebr_domain {
     if (bytes != 0) limbo_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   }
 
-  // --- overflow list ---------------------------------------------------------
-
-  struct overflow_entry {
-    retired_block block;
-    std::uint64_t epoch = 0;  // retire-time tag; free rule global >= tag + 2
-  };
-
-  void defer_to_overflow(retired_block b, std::uint64_t e) {
-    {
-      std::lock_guard<std::mutex> lk(overflow_mu_);
-      overflow_.push_back(overflow_entry{b, e});
-    }
-    overflow_blocks_.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t nb =
-        overflow_bytes_.fetch_add(b.bytes, std::memory_order_relaxed) +
-        b.bytes;
-    raise_hwm(overflow_bytes_hwm_, nb);
-  }
-
-  /// Free overflow entries whose grace period has elapsed; returns how
-  /// many were freed.
-  std::size_t drain_overflow() {
-    if (overflow_blocks_.load(std::memory_order_relaxed) == 0) return 0;
-    const std::uint64_t g = global_epoch_.load(std::memory_order_acquire);
-    std::vector<overflow_entry> expired;
-    {
-      std::lock_guard<std::mutex> lk(overflow_mu_);
-      std::size_t kept = 0;
-      for (overflow_entry& e : overflow_) {
-        if (e.epoch + 2 <= g) {
-          expired.push_back(e);
-        } else {
-          overflow_[kept++] = e;
-        }
-      }
-      overflow_.resize(kept);
-    }
-    if (expired.empty()) return 0;
-    std::size_t bytes = 0;
-    for (const overflow_entry& e : expired) {
-      bytes += e.block.bytes;
-      e.block.reclaim();
-    }
-    overflow_blocks_.fetch_sub(expired.size(), std::memory_order_relaxed);
-    overflow_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-    return expired.size();
-  }
-
   const std::uint64_t id_;
   std::atomic<std::uint64_t> global_epoch_{1};
   std::atomic<std::size_t> high_water_{0};
 
-  // Bounded-limbo state.
-  std::atomic<std::size_t> max_limbo_bytes_{0};
+  // Limbo accounting (domain-wide, byte-exact).
   std::atomic<std::size_t> limbo_blocks_{0};
   std::atomic<std::size_t> limbo_bytes_{0};
   std::atomic<std::size_t> limbo_bytes_hwm_{0};
-  std::mutex overflow_mu_;
-  std::vector<overflow_entry> overflow_;
-  std::atomic<std::size_t> overflow_blocks_{0};
-  std::atomic<std::size_t> overflow_bytes_{0};
-  std::atomic<std::size_t> overflow_bytes_hwm_{0};
 
   detail::ebr_slot slots_[kMaxThreads];
 

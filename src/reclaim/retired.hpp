@@ -8,7 +8,7 @@ namespace lfst::reclaim {
 
 /// One object awaiting reclamation: a pointer, its type-erased deleter, and
 /// the block's heap footprint.  `bytes` feeds the limbo accounting that the
-/// bounded-limbo cap and the footprint gauges are built on; a zero means
+/// footprint gauges are built on; a zero means
 /// "unknown" and simply contributes nothing to the byte totals (the block
 /// itself is still counted and reclaimed normally).
 struct retired_block {

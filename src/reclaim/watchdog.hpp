@@ -2,10 +2,10 @@
 //
 // Mirrors the structural-health ticker (skiptree/health.hpp): a small
 // dedicated thread wakes every `interval`, runs one `ebr_domain::stall_tick`
-// pass -- stall detection, eviction flagging, epoch advance, overflow drain
-// -- and keeps the last report plus running totals.  Ages are configured in
-// wall-clock microseconds and converted to tsc ticks with the process-wide
-// calibration, metrics::ticks_per_us().
+// pass -- stall detection, eviction flagging, epoch advance -- and keeps the
+// last report plus running totals.  Ages are configured in wall-clock
+// microseconds and converted to tsc ticks with the process-wide calibration,
+// metrics::ticks_per_us().
 //
 // The watchdog is the only legal driver of stall_tick while it runs (the
 // per-slot observation fields are single-driver state); tests that call
@@ -19,7 +19,6 @@
 #include <mutex>
 #include <thread>
 
-#include "alloc/pool.hpp"
 #include "common/metrics.hpp"
 #include "common/telemetry.hpp"
 #include "common/trace.hpp"
@@ -55,13 +54,11 @@ class reclaim_watchdog {
     // plane.  `fill` reads the last report under mu_ (tick_now holds it
     // only to record the pass; no hot-path interaction).
     tel_source_ = telemetry::scoped_source(
-        "reclaim", {"pinned", "stalled", "limbo_bytes", "overflow_bytes"},
-        [this](double* v) {
+        "reclaim", {"pinned", "stalled", "limbo_bytes"}, [this](double* v) {
           const stall_report r = last_report();
           v[0] = static_cast<double>(r.pinned);
           v[1] = static_cast<double>(r.stalled);
           v[2] = static_cast<double>(r.limbo_bytes);
-          v[3] = static_cast<double>(r.overflow_bytes);
         });
   }
 
@@ -89,12 +86,6 @@ class reclaim_watchdog {
     p.stall_age_ticks =
         to_ticks(opts_.stall_age, ::lfst::metrics::ticks_per_us());
     const stall_report r = domain_.stall_tick(p);
-    // Over the limbo cap: bump the pool's pressure generation so per-thread
-    // caches trim.
-    const std::size_t cap = domain_.limits().max_limbo_bytes;
-    if (cap != 0 && r.limbo_bytes + r.overflow_bytes > cap) {
-      ::lfst::alloc::pool_policy::request_trim();
-    }
     {
       std::lock_guard<std::mutex> lk(mu_);
       last_ = r;

@@ -1,5 +1,5 @@
-// Stall-tolerant reclamation: stall detection, cooperative eviction, the
-// bounded-limbo cap, and the background reclaim_watchdog driver.
+// Stall-tolerant reclamation: stall detection, cooperative eviction, exact
+// limbo accounting, and the background reclaim_watchdog thread.
 //
 // Most tests drive `ebr_domain::stall_tick` directly with synthetic tsc
 // values, which makes the observe -> flag ladder fully deterministic (no
@@ -166,7 +166,7 @@ TEST(StallDetection, UnflaggedCheckIsFreeAndFalse) {
   for (int i = 0; i < 1000; ++i) EXPECT_FALSE(g.check());
 }
 
-TEST(BoundedLimbo, ByteAccountingIsExact) {
+TEST(LimboAccounting, ByteAccountingIsExact) {
   ebr_domain d;
   const int before = counted::live.load();
   {
@@ -187,10 +187,8 @@ TEST(BoundedLimbo, ByteAccountingIsExact) {
   EXPECT_EQ(counted::live.load(), before);
 }
 
-TEST(BoundedLimbo, CapIsAHardCeilingOnTheHighWatermark) {
+TEST(LimboAccounting, ParkedReaderHoldsEveryRetiredByte) {
   ebr_domain d;
-  const std::size_t cap = 32 * sizeof(counted);
-  d.set_limits(reclaim_limits{cap});
   const int before = counted::live.load();
   // Blocks collection: limbo can only grow.
   pinned_reader reader(d, pinned_reader::mode::parked);
@@ -199,24 +197,20 @@ TEST(BoundedLimbo, CapIsAHardCeilingOnTheHighWatermark) {
     ebr_domain::guard g(d);
     for (int i = 0; i < 500; ++i) d.retire(new counted);
   }
-  const domain_stats s = d.stats();
-  EXPECT_LE(s.limbo_bytes_hwm, cap) << "cap overshot";
-  EXPECT_GT(s.overflow_bytes + s.limbo_bytes, 0u);
-  // Everything the cap refused is parked on the overflow list, not dropped.
-  EXPECT_EQ(s.limbo_bytes + s.overflow_bytes, 500 * sizeof(counted));
+  // Nothing caps limbo: every retired byte is held and counted, none dropped.
+  EXPECT_EQ(d.stats().limbo_bytes, 500 * sizeof(counted));
   EXPECT_EQ(counted::live.load(), before + 500);
 
-  // Overflow blocks still honor the grace period while the reader lives...
+  // The grace period holds while the reader lives...
   const flush_result stuck = d.try_flush();
   EXPECT_FALSE(stuck.clean());
   EXPECT_EQ(counted::live.load(), before + 500);
 
-  // ...and once the reader exits, a quiescent flush frees every block from
-  // both lists.
+  // ...and once the reader exits, a quiescent flush frees every block.
   reader.release();
   d.flush();
   EXPECT_EQ(counted::live.load(), before);
-  EXPECT_EQ(d.stats().overflow_bytes, 0u);
+  EXPECT_EQ(d.stats().limbo_bytes, 0u);
 }
 
 TEST(Watchdog, ThreadDetectsInjectedStallWithinBoundedTicks) {
