@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks: per-operation cost of contains / add /
-// remove for each structure across working-set sizes.  These are not a
-// paper figure; they localize WHERE the Figure 9 differences come from
-// (e.g. the skip-list's pointer-chase per element vs the skip-tree's packed
-// nodes as the working set leaves cache).
+// remove for each structure across working-set sizes, plus layer panels
+// (in-node search, leaf hops, pool alloc+free).  These are not a paper
+// figure; they localize WHERE the Figure 9 differences come from (e.g. the
+// skip-list's pointer-chase per element vs the skip-tree's packed nodes as
+// the working set leaves cache).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -209,6 +210,26 @@ void BM_KernelSearch(benchmark::State& state) {
 
 BENCHMARK(BM_KernelSearch)
     ->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Iterations(2000000);
+
+// The pool's hit path in isolation: one allocate and one deallocate of the
+// same size per iteration, so every allocation after the first is a pop
+// from the thread cache and every free a push back onto it.  Sizes: a
+// small block (64 B), a 32-key leaf payload of 8-byte keys (272 B, served
+// from the 384 B class) and a 32-key routing payload (536 B, from 768 B).
+void BM_PoolAllocFree(benchmark::State& state) {
+  using lfst::alloc::pool_policy;
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kAlign = alignof(void*);
+  for (auto _ : state) {
+    void* p = pool_policy::allocate(bytes, kAlign);
+    benchmark::DoNotOptimize(p);
+    pool_policy::deallocate(p, bytes, kAlign);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+BENCHMARK(BM_PoolAllocFree)
+    ->Arg(64)->Arg(384)->Arg(768)->Iterations(5000000);
 
 // Iteration also includes the snap-tree (the Figure 10 participant).
 BENCHMARK_TEMPLATE(BM_Iterate, lfst::skiptree::skip_tree<key>)

@@ -47,6 +47,7 @@ double run_trial(int threads, std::uint64_t ops_total, std::uint64_t seed,
   const auto t0 = std::chrono::steady_clock::now();
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
+      lfst::bench::pin_to_cpu(t);
       lfst::xoshiro256ss rng{
           lfst::thread_seed(seed, static_cast<std::uint64_t>(t))};
       const std::uint64_t n = ops_total / static_cast<std::uint64_t>(threads);

@@ -14,6 +14,10 @@
 //   * per-level occupancy        -- mean keys/node against the geometric
 //                                   ideal width 1/q = 2^q_log2
 //   * compaction backlog         -- empty + suboptimal, the total debt
+//   * shape under churn          -- mean keys per leaf, dead separators
+//                                   (level-1 keys with no leaf copy) and
+//                                   node headers allocated vs reachable,
+//                                   which no transform repairs
 //
 // Concurrency contract: probe() pins a reclamation guard and reads payload
 // snapshots with acquire loads, so every pointer it follows stays valid;
@@ -27,6 +31,7 @@
 // publishes its latest sample as telemetry gauges.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -60,6 +65,27 @@ struct health_sample {
   bool truncated = false;  ///< true when any level hit the sample bound
   std::vector<std::size_t> nodes_per_level;  ///< sampled widths, index=level
   double ideal_node_width = 0.0;  ///< 1/q = 2^q_log2 (Sec. III-C)
+  std::size_t leaf_keys = 0;        ///< finite keys across sampled leaves
+  /// Sampled level-1 keys whose leaf copy is gone: searches still route on
+  /// them, but they no longer name a key.  A separator whose leaf could not
+  /// be reached in a few link hops is not counted (an undercount).
+  std::size_t dead_separators = 0;
+  /// Node headers the tree has ever allocated (its arena list length; the
+  /// arena frees them only with the tree).  Exact, not sampled.
+  std::size_t headers_allocated = 0;
+
+  /// Node headers the walk reached along the level chains: exact when the
+  /// probe was not truncated, a lower bound otherwise.  Against
+  /// `headers_allocated` it shows how many headers churn has stranded.
+  std::size_t headers_reachable() const { return sampled_nodes; }
+
+  /// Mean finite keys per sampled leaf.
+  double leaf_keys_mean() const {
+    return nodes_per_level.empty() || nodes_per_level[0] == 0
+               ? 0.0
+               : static_cast<double>(leaf_keys) /
+                     static_cast<double>(nodes_per_level[0]);
+  }
 
   /// Fraction of sampled nodes holding zero elements (bypass backlog).
   double empty_fraction() const {
@@ -121,6 +147,8 @@ class skip_tree_health {
     s.ideal_node_width =
         static_cast<double>(std::uint64_t{1} << tree_.core_.opts.q_log2);
 
+    s.headers_allocated =
+        tree_.core_.arena_len.load(std::memory_order_relaxed);
     const auto* root = tree_.core_.root.load(std::memory_order_acquire);
     s.height = root->height;
     s.nodes_per_level.assign(static_cast<std::size_t>(root->height) + 1, 0);
@@ -140,11 +168,14 @@ class skip_tree_health {
         ++s.nodes_per_level[static_cast<std::size_t>(level)];
         if (c->empty()) ++s.empty_nodes;
         s.keys_sampled += c->nkeys;
-        if (!c->leaf) {
+        if (c->leaf) {
+          s.leaf_keys += c->nkeys;
+        } else {
           if (next_head == nullptr && c->logical_len() > 0) {
             next_head = c->children()[0];
           }
           census_children(cmp, *c, s);
+          if (level == 1) census_separators(cmp, *c, s);
         }
         n = c->link;
       }
@@ -180,6 +211,32 @@ class skip_tree_health {
     }
   }
 
+  /// Count the dead separators of one level-1 payload.  Key j's leaf copy,
+  /// if any, lies in the tail of child j (D4), at or before the first leaf
+  /// whose maximum reaches the key, so a short walk right from the child
+  /// decides it.
+  static void census_separators(const Compare& cmp, const contents_t& c,
+                                health_sample& s) {
+    constexpr int kMaxHops = 8;
+    for (std::uint32_t j = 0; j < c.nkeys; ++j) {
+      const T& key = c.keys()[j];
+      const node_t* n = c.children()[j];
+      for (int hop = 0; hop < kMaxHops && n != nullptr; ++hop) {
+        const contents_t* lc = payload(n);
+        if (lc == nullptr) break;
+        if (lc->empty() || (!lc->inf && cmp(lc->max_key(), key))) {
+          n = lc->link;  // the key, if present, lies further right
+          continue;
+        }
+        if (!std::binary_search(lc->keys(), lc->keys() + lc->nkeys, key,
+                                cmp)) {
+          ++s.dead_separators;
+        }
+        break;
+      }
+    }
+  }
+
   const tree_t& tree_;
   health_options opts_;
   std::chrono::steady_clock::time_point birth_;
@@ -206,7 +263,7 @@ class health_ticker {
     tel_source_ = telemetry::scoped_source(
         "health",
         {"occupancy_pct", "empty_fraction", "suboptimal_refs", "backlog",
-         "height"},
+         "height", "leaf_keys_mean", "dead_separators", "headers_allocated"},
         [this](double* v) {
           std::lock_guard<std::mutex> lk(mu_);
           if (series_.empty()) return;  // columns stay NaN until a probe
@@ -216,6 +273,9 @@ class health_ticker {
           v[2] = static_cast<double>(s.suboptimal_refs);
           v[3] = static_cast<double>(s.compaction_backlog());
           v[4] = static_cast<double>(s.height);
+          v[5] = s.leaf_keys_mean();
+          v[6] = static_cast<double>(s.dead_separators);
+          v[7] = static_cast<double>(s.headers_allocated);
         });
   }
 

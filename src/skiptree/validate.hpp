@@ -18,7 +18,11 @@
 // The inspector also takes an optimality census (empty nodes, suboptimal
 // references, duplicate adjacent references) used by the compaction tests:
 // the paper's claim is not that these never occur -- mutations create them
-// deliberately -- but that online compaction drives them back down.
+// deliberately -- but that online compaction drives them back down.  The
+// census also measures the shape churn leaves behind, which no transform
+// repairs: dead separators (level-1 keys whose leaf copy was removed), the
+// mean leaf width, and node headers allocated against headers still
+// reachable (the arena frees the difference only with the tree).
 //
 // Quiescence is the caller's contract: validation walks raw pointers with
 // no protection against concurrent mutation.
@@ -29,6 +33,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "skiptree/skip_tree.hpp"
@@ -46,6 +51,14 @@ struct validation_report {
   std::size_t suboptimal_refs = 0;
   std::size_t duplicate_ref_pairs = 0;
   std::vector<std::size_t> nodes_per_level;  // index = level
+  std::size_t dead_separators = 0;  ///< level-1 keys with no leaf copy
+  double leaf_keys_mean = 0.0;      ///< leaf keys per leaf node
+  /// Distinct node headers reachable from the top head over links and
+  /// child references (bypassed nodes still referenced count too).
+  std::size_t headers_reachable = 0;
+  /// Length of the tree's arena list: every header ever allocated.  Zero
+  /// for raw (tree-less) validations.
+  std::size_t headers_allocated = 0;
 
   /// Live counter snapshot taken when validation fails (post-mortem aid for
   /// chaos runs: what the tree had been doing before it went wrong).  Empty
@@ -61,7 +74,10 @@ struct validation_report {
     std::ostringstream os;
     os << (ok ? "VALID" : "INVALID") << ": " << total_nodes << " nodes, "
        << empty_nodes << " empty, " << suboptimal_refs << " suboptimal refs, "
-       << duplicate_ref_pairs << " duplicate ref pairs";
+       << duplicate_ref_pairs << " duplicate ref pairs, " << dead_separators
+       << " dead separators, " << leaf_keys_mean << " keys per leaf, "
+       << headers_reachable << " headers reachable";
+    if (headers_allocated != 0) os << " of " << headers_allocated;
     for (const std::string& e : errors) os << "\n  error: " << e;
     if (!metrics_text.empty()) os << "\n  metrics: " << metrics_text;
     return os.str();
@@ -82,12 +98,7 @@ class skip_tree_inspector {
 
   /// All finite keys at `level`, concatenated in chain order.
   std::vector<T> level_keys(int level) const {
-    std::vector<T> out;
-    for (const node_t* n : level_chain(level)) {
-      const contents_t* c = payload(n);
-      out.insert(out.end(), c->keys(), c->keys() + c->nkeys);
-    }
-    return out;
+    return keys_of(level_chain(level));
   }
 
   /// Node count at `level`.
@@ -112,6 +123,8 @@ class skip_tree_inspector {
   validation_report validate() const {
     const auto* root = tree_.core_.root.load(std::memory_order_acquire);
     validation_report rep = validate_raw(root->node, root->height);
+    rep.headers_allocated =
+        tree_.core_.arena_len.load(std::memory_order_relaxed);
     // Leaf population vs the size counter (exact when quiescent).
     const std::vector<T> leaf = level_keys(0);
     if (leaf.size() != tree_.size()) {
@@ -145,7 +158,9 @@ class skip_tree_inspector {
       return rep;
     }
     rep.nodes_per_level.assign(static_cast<std::size_t>(height) + 1, 0);
+    rep.headers_reachable = count_reachable(top);
     std::vector<const node_t*> level_above;
+    std::vector<T> separators;  // level 1's keys, once it has been walked
     for (int level = height; level >= 0; --level) {
       const node_t* head = head_below(top, height, level, &rep);
       if (head == nullptr) return rep;  // corruption reported by head_below
@@ -160,6 +175,8 @@ class skip_tree_inspector {
       if (level < height) {
         check_child_references(rep, level_above, chain, level + 1);
       }
+      if (level == 1) separators = keys_of(chain);
+      if (level == 0) census_leaves(rep, chain, separators);
       level_above = std::move(chain);
     }
     return rep;
@@ -173,6 +190,50 @@ class skip_tree_inspector {
   std::vector<const node_t*> level_chain(int level) const {
     const auto* root = tree_.core_.root.load(std::memory_order_acquire);
     return chain_from(head_below(root->node, root->height, level, nullptr));
+  }
+
+  static std::vector<T> keys_of(const std::vector<const node_t*>& chain) {
+    std::vector<T> out;
+    for (const node_t* n : chain) {
+      const contents_t* c = payload(n);
+      out.insert(out.end(), c->keys(), c->keys() + c->nkeys);
+    }
+    return out;
+  }
+
+  /// Nodes reachable from `top` over links and child references.
+  static std::size_t count_reachable(const node_t* top) {
+    std::unordered_set<const node_t*> seen{top};
+    std::vector<const node_t*> todo{top};
+    auto visit = [&](const node_t* n) {
+      if (n != nullptr && seen.insert(n).second) todo.push_back(n);
+    };
+    while (!todo.empty()) {
+      const contents_t* c = payload(todo.back());
+      todo.pop_back();
+      if (c == nullptr) continue;  // corrupt: reported by the level walk
+      visit(c->link);
+      if (!c->leaf) {
+        for (const node_t* child : c->child_span()) visit(child);
+      }
+    }
+    return seen.size();
+  }
+
+  /// Leaf width and dead separators: a level-1 key whose leaf copy was
+  /// removed still routes searches but no longer names a leaf key.
+  static void census_leaves(validation_report& rep,
+                            const std::vector<const node_t*>& leaves,
+                            const std::vector<T>& separators) {
+    Compare cmp{};
+    const std::vector<T> keys = keys_of(leaves);
+    rep.leaf_keys_mean =
+        static_cast<double>(keys.size()) / static_cast<double>(leaves.size());
+    for (const T& k : separators) {
+      if (!std::binary_search(keys.begin(), keys.end(), k, cmp)) {
+        ++rep.dead_separators;
+      }
+    }
   }
 
   /// The chain of nodes making up a level, leftmost first.  Stops before a

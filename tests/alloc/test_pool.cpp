@@ -12,12 +12,15 @@
 // so every assertion works on deltas between two counters() snapshots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <thread>
 #include <vector>
 
 #include "alloc/pool.hpp"
+#include "common/failpoint.hpp"
 #include "reclaim/ebr.hpp"
 
 namespace lfst::alloc {
@@ -46,7 +49,7 @@ TEST(PoolBlockSize, RoundsUpToTheNextClass) {
 
 TEST(PoolBlockSize, AlignmentSkipsClassesThatCannotProvideIt) {
   // A midpoint class 3*2^k is only 2^k-aligned (blocks sit at class-size
-  // multiples inside 4 KiB-aligned slabs), so strict alignment skips it.
+  // multiples inside 64 KiB-aligned slabs), so strict alignment skips it.
   EXPECT_EQ(pool::block_size(8, 256), 256u);
   EXPECT_EQ(pool::block_size(300, 512), 512u);
   EXPECT_EQ(pool::block_size(40, 64), 64u);   // not the 16-aligned 48 class
@@ -80,6 +83,117 @@ TEST(PoolPolicy, BlocksCarryTheirClassAlignment) {
     }
   }
 }
+
+// --- chunks ----------------------------------------------------------------
+
+/// Allocate `bytes` blocks on this thread, keeping them in `held`, until a
+/// refill is served by carving (no free block of the class left anywhere):
+/// from then on every block of the class this thread gets is fresh slab
+/// space, in address order.  The test runs single-threaded.
+void drain_to_fresh(std::size_t bytes, std::vector<void*>& held) {
+  const std::uint64_t carves = pool_policy::counters().slab_carves;
+  while (pool_policy::counters().slab_carves == carves) {
+    held.push_back(pool_policy::allocate(bytes, 8));
+  }
+}
+
+void release(std::vector<void*>& held, std::size_t bytes) {
+  for (void* p : held) pool_policy::deallocate(p, bytes, 8);
+  held.clear();
+}
+
+TEST(PoolChunks, ClassesCarveTheirSlabsFromOneAlignedChunk) {
+  // Class 4096 holds 16 blocks per slab, so its slab bases are the only
+  // blocks on 64 KiB boundaries, and only a slab that opens a chunk can
+  // start on a 2 MiB boundary.  Find such a slab, then check the next slab
+  // another class carves comes from the same chunk.
+  constexpr std::size_t kBig = 4096;
+  constexpr std::size_t kSmall = 384;
+  std::vector<void*> big;
+  std::vector<void*> small;
+  drain_to_fresh(kBig, big);
+  std::uintptr_t opener = 0;
+  for (std::size_t i = 0; i < 2 * pool::kChunkBytes / kBig && opener == 0;
+       ++i) {
+    big.push_back(pool_policy::allocate(kBig, 8));
+    if (addr(big.back()) % pool::kChunkBytes == 0) opener = addr(big.back());
+  }
+  ASSERT_NE(opener, 0u) << "no fresh slab started a 2 MiB-aligned chunk";
+
+  drain_to_fresh(kSmall, small);
+  std::uintptr_t slab = 0;
+  for (std::size_t i = 0; i < 2 * pool::kSlabBytes / kSmall && slab == 0;
+       ++i) {
+    if (addr(small.back()) % pool::kSlabBytes == 0) slab = addr(small.back());
+    small.push_back(pool_policy::allocate(kSmall, 8));
+  }
+  ASSERT_NE(slab, 0u) << "class 384 never reached a fresh slab";
+  EXPECT_EQ(slab / pool::kChunkBytes, opener / pool::kChunkBytes)
+      << "the first slabs of two classes came from different chunks";
+  for (void* p : small) {
+    EXPECT_EQ(addr(p) % 128, 0u) << "class 384 blocks are 128-aligned";
+  }
+  release(big, kBig);
+  release(small, kSmall);
+}
+
+#if defined(LFST_FAILPOINTS)
+TEST(PoolChunks, FailedSlabCarveServesPartialBatchOrRethrows) {
+  // `alloc.pool.chunk` fires inside the chunk cursor's lock, as an
+  // exhausted heap would when a fresh chunk is needed.  A class-4096
+  // refill wants 32 blocks, two slabs' worth.
+  using failpoint::action;
+  using failpoint::policy;
+  using failpoint::registry;
+  constexpr std::size_t kBig = 4096;
+  constexpr std::size_t kPerSlab = pool::kSlabBytes / kBig;
+  std::vector<void*> held;
+
+  // Every carve fails: use up the class until a refill comes back empty
+  // handed.  Its free list, its slab and this thread's cache are now empty.
+  registry::instance().reset_all();
+  registry::instance().configure("alloc.pool.chunk",
+                                 policy{.act = action::fail});
+  bool threw = false;
+  for (int i = 0; i < (1 << 20) && !threw; ++i) {
+    try {
+      held.push_back(pool_policy::allocate(kBig, 8));
+    } catch (const std::bad_alloc&) {
+      threw = true;
+    }
+  }
+  ASSERT_TRUE(threw);
+
+  // Let one carve through, then fail the rest: the refill gets one slab,
+  // fails on the second and still serves the 16 blocks it gathered.
+  registry::instance().reset_all();
+  registry::instance().configure(
+      "alloc.pool.chunk", policy{.act = action::fail, .skip_first = 1});
+  const failpoint::site& site = registry::instance().at("alloc.pool.chunk");
+  const std::uintptr_t base = addr(pool_policy::allocate(kBig, 8));
+  held.push_back(reinterpret_cast<void*>(base));
+  EXPECT_EQ(site.fires(), 1u);
+  EXPECT_EQ(base % pool::kSlabBytes, 0u);
+  std::vector<std::uintptr_t> batch{base};
+  for (std::size_t i = 1; i < kPerSlab; ++i) {
+    held.push_back(pool_policy::allocate(kBig, 8));  // from the cache
+    batch.push_back(addr(held.back()));
+  }
+  EXPECT_EQ(site.fires(), 1u) << "the partial batch was not kept";
+  std::sort(batch.begin(), batch.end());
+  for (std::size_t i = 0; i < kPerSlab; ++i) {
+    EXPECT_EQ(batch[i], base + i * kBig) << "block " << i;
+  }
+  // The batch is used up and the next carve fails with nothing gathered.
+  EXPECT_THROW(pool_policy::allocate(kBig, 8), std::bad_alloc);
+  EXPECT_EQ(site.fires(), 2u);
+
+  // No lock was left held: with the site disarmed the class refills.
+  registry::instance().reset_all();
+  held.push_back(pool_policy::allocate(kBig, 8));
+  release(held, kBig);
+}
+#endif
 
 TEST(PoolPolicy, HonorsOversizedAlignmentViaFallback) {
   const alloc_counters before = pool_policy::counters();

@@ -53,6 +53,15 @@ TEST_F(BenchConfig, WellFormedValuesParse) {
   EXPECT_EQ(env_threads(kVar, {}), (std::vector<int>{256}));
 }
 
+TEST_F(BenchConfig, DefaultThreadSweepIsCappedAtTheCpuCount) {
+  EXPECT_EQ(capped_threads(1), (std::vector<int>{1}));
+  EXPECT_EQ(capped_threads(3), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(capped_threads(4), (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(capped_threads(6), (std::vector<int>{1, 2, 4, 6}));
+  EXPECT_EQ(capped_threads(64), (std::vector<int>{1, 2, 4, 8}));
+  EXPECT_EQ(bench_config{}.threads, capped_threads(allowed_cpus().size()));
+}
+
 TEST_F(BenchConfig, SizeRejectsMalformedOrNonPositive) {
   for (const char* bad : {"abc", "12abc", "0", "-5", " 5", "5 ", "1.5",
                           "99999999999999999999999"}) {

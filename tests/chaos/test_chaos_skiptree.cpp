@@ -66,7 +66,8 @@ int iterations() {
 }
 
 const char* const kAllocSites[] = {
-    "alloc.pool.allocate", "alloc.pool.refill", "alloc.new_delete",
+    "alloc.pool.allocate", "alloc.pool.refill", "alloc.pool.chunk",
+    "alloc.new_delete",
     "skiptree.alloc.contents", "skiptree.alloc.node",
 };
 

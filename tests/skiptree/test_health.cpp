@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "skiptree/health.hpp"
 #include "skiptree/skip_tree.hpp"
+#include "skiptree/validate.hpp"
 
 namespace lfst::skiptree {
 namespace {
@@ -89,6 +90,72 @@ TEST(Health, ChurnWithoutCompactionLeavesVisibleBacklog) {
   EXPECT_GT(s.empty_fraction(), 0.0);
   // Occupancy collapses far below the ideal width.
   EXPECT_LT(s.occupancy_pct(), 50.0);
+}
+
+TEST(Health, CensusSeesDeadSeparatorsAndStrandedHeaders) {
+  // Remove every key that has a level-1 copy: with compaction off the
+  // routing copies stay behind as dead separators.  The probe and the
+  // inspector must agree on the census of this quiescent tree.
+  std::vector<int> keys(4096);
+  for (int i = 0; i < 4096; ++i) keys[static_cast<std::size_t>(i)] = i;
+  reclaim::ebr_domain domain;
+  skip_tree_options o = small_nodes();
+  o.compaction = false;
+  auto tree = skip_tree<int>::from_sorted(keys, o, domain);
+  skip_tree_inspector<int> inspector(tree);
+
+  const validation_report fresh = inspector.validate();
+  EXPECT_EQ(fresh.dead_separators, 0u);
+  EXPECT_EQ(fresh.headers_allocated, fresh.headers_reachable + 1)
+      << "only the constructor's initial leaf, replaced by the bulk load, "
+         "is off every path";
+  EXPECT_EQ(fresh.headers_reachable, fresh.total_nodes);
+
+  std::vector<int> separators = inspector.level_keys(1);
+  for (int k : separators) {
+    ASSERT_TRUE(tree.remove(k));
+  }
+  const validation_report rep = inspector.validate();
+  ASSERT_TRUE(rep.ok) << rep.to_string();
+  EXPECT_EQ(rep.dead_separators, separators.size());
+  EXPECT_DOUBLE_EQ(rep.leaf_keys_mean,
+                   static_cast<double>(4096 - separators.size()) /
+                       static_cast<double>(rep.nodes_per_level[0]));
+
+  health_options opts;
+  opts.max_nodes_per_level = 1u << 20;
+  skip_tree_health<int> health(tree, opts);
+  const health_sample s = health.probe();
+  EXPECT_FALSE(s.truncated);
+  EXPECT_EQ(s.dead_separators, rep.dead_separators);
+  EXPECT_DOUBLE_EQ(s.leaf_keys_mean(), rep.leaf_keys_mean);
+  EXPECT_EQ(s.headers_allocated, rep.headers_allocated);
+  EXPECT_EQ(s.headers_reachable(), rep.headers_reachable);
+}
+
+TEST(Health, ChurnStrandsHeadersInTheArena) {
+  // Splits allocate headers and compaction unlinks emptied nodes, but the
+  // arena frees a header only with the tree.
+  reclaim::ebr_domain domain;
+  skip_tree<int> tree(small_nodes(), domain);
+  skip_tree_inspector<int> inspector(tree);
+  const validation_report empty = inspector.validate();
+  EXPECT_EQ(empty.headers_allocated, 1u);
+  EXPECT_EQ(empty.headers_reachable, 1u);
+  xoshiro256ss rng(0x5717);
+  for (int i = 0; i < 1 << 15; ++i) {
+    const int k = static_cast<int>(rng.below(4096));
+    if (!tree.add(k)) tree.remove(k);
+  }
+  const validation_report rep = inspector.validate();
+  ASSERT_TRUE(rep.ok) << rep.to_string();
+  EXPECT_GT(rep.headers_allocated, rep.headers_reachable);
+
+  health_options opts;
+  opts.max_nodes_per_level = 1u << 20;
+  const health_sample s = skip_tree_health<int>(tree, opts).probe();
+  EXPECT_EQ(s.headers_allocated, rep.headers_allocated);
+  EXPECT_LT(s.headers_reachable(), s.headers_allocated);
 }
 
 TEST(Health, BoundedWalkTruncatesAndStaysCheap) {

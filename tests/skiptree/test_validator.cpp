@@ -141,6 +141,25 @@ TEST(ValidatorNegative, CensusCountsEmptyAndSuboptimal) {
   EXPECT_GE(rep.suboptimal_refs, 1u);
 }
 
+TEST(ValidatorNegative, CensusMeasuresShapeOfHandBuiltTree) {
+  // Leaves [10, 20] -> [30, +inf]; level 1 routes on 20 and on 25, whose
+  // leaf copy is gone: one dead separator, 3 keys over 2 leaves.
+  builder b;
+  const int right_keys[] = {30};
+  N* right = b.node(C::make_leaf(right_keys, /*inf=*/true, nullptr));
+  const int left_keys[] = {10, 20};
+  N* left = b.node(C::make_leaf(left_keys, /*inf=*/false, right));
+  const int root_keys[] = {20, 25};
+  N* children[] = {left, right, right};
+  N* root = b.node(C::make_routing(root_keys, children, /*inf=*/true, nullptr));
+  auto rep = inspector::validate_raw(root, 1);
+  EXPECT_TRUE(rep.ok) << rep.to_string();
+  EXPECT_EQ(rep.dead_separators, 1u);
+  EXPECT_DOUBLE_EQ(rep.leaf_keys_mean, 1.5);
+  EXPECT_EQ(rep.headers_reachable, 3u);
+  EXPECT_EQ(rep.headers_allocated, 0u) << "a raw structure has no arena";
+}
+
 TEST(ValidatorNegative, ReportToStringMentionsErrors) {
   builder b;
   const int ks[] = {5, 5};
