@@ -341,6 +341,14 @@ struct contents {
     return align_up(sizeof(contents), alignof(T));
   }
 
+  /// Bytes of a payload with `nkeys` keys: [header | keys | children].
+  static constexpr std::size_t total_size(std::uint32_t nkeys, bool inf,
+                                          bool leaf) noexcept {
+    if (leaf) return keys_offset() + sizeof(T) * nkeys;
+    return children_offset(nkeys) +
+           sizeof(node_t*) * (nkeys + (inf ? 1u : 0u));
+  }
+
  private:
   static void copy_keys_with_insert(const contents& src, contents& dst,
                                     std::uint32_t pos, const T& key) {
@@ -366,13 +374,6 @@ struct contents {
 
   static constexpr std::size_t children_offset(std::uint32_t nkeys) noexcept {
     return align_up(keys_offset() + sizeof(T) * nkeys, alignof(node_t*));
-  }
-
-  static constexpr std::size_t total_size(std::uint32_t nkeys, bool inf,
-                                          bool leaf) noexcept {
-    if (leaf) return keys_offset() + sizeof(T) * nkeys;
-    return children_offset(nkeys) +
-           sizeof(node_t*) * (nkeys + (inf ? 1u : 0u));
   }
 };
 

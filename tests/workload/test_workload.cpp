@@ -2,9 +2,11 @@
 #include "workload/workload.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 
 #include "common/ordered_set.hpp"
@@ -136,6 +138,73 @@ TEST(Iteration, ZeroContendersWorks) {
   sc.duration_ms = 20.0;
   const iteration_result r = run_iteration_trial(set, sc);
   EXPECT_GT(r.full_scans, 0u);
+}
+
+// A stand-in set that records, per kind of call, every CPU the calling
+// thread's affinity mask allows, to observe where the drivers pin their
+// threads.
+struct cpu_recording_set {
+  using key_type = long;
+  std::mutex mu;
+  std::set<int> op_cpus;
+  std::set<int> scan_cpus;
+
+  void note(std::set<int>& cpus) {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    sched_getaffinity(0, sizeof(mask), &mask);
+    std::lock_guard<std::mutex> lock(mu);
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &mask)) cpus.insert(c);
+    }
+  }
+  bool contains(long) { note(op_cpus); return false; }
+  bool add(long) { note(op_cpus); return true; }
+  bool remove(long) { note(op_cpus); return false; }
+  template <typename F>
+  void for_each(F&& f) {
+    note(scan_cpus);
+    f(0L);
+  }
+};
+
+TEST(Placement, TrialWorkersRunOnTheFirstAllowedCpus) {
+  const std::vector<int>& cpus = allowed_cpus();
+  ASSERT_FALSE(cpus.empty());
+  scenario sc;
+  sc.total_ops = 4000;
+  sc.threads = 2;
+  std::vector<std::vector<op>> streams;
+  for (int tid = 0; tid < sc.threads; ++tid) {
+    streams.push_back(make_op_stream(sc, 7, tid));
+  }
+  cpu_recording_set set;
+  execute_trial(set, streams);
+  EXPECT_EQ(set.op_cpus, (std::set<int>{cpus[0], cpus[1 % cpus.size()]}));
+}
+
+TEST(Placement, IterationScannerRunsAloneAndCallerKeepsItsMask) {
+  const std::vector<int>& cpus = allowed_cpus();
+  ASSERT_FALSE(cpus.empty());
+  cpu_set_t before;
+  CPU_ZERO(&before);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(before), &before), 0);
+
+  cpu_recording_set set;
+  iteration_scenario sc;
+  sc.preload_keys = 0;
+  sc.contenders = static_cast<int>(cpus.size()) + 1;  // more than CPUs
+  sc.duration_ms = 20.0;
+  run_iteration_trial(set, sc);
+
+  EXPECT_EQ(set.scan_cpus, std::set<int>{cpus[0]});
+  if (cpus.size() > 1) {
+    EXPECT_EQ(set.op_cpus.count(cpus[0]), 0u);
+  }
+  cpu_set_t after;
+  CPU_ZERO(&after);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
+  EXPECT_TRUE(CPU_EQUAL(&before, &after));
 }
 
 TEST(Table, FormatsAlignedColumns) {
