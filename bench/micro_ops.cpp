@@ -1,12 +1,15 @@
 // Google-benchmark microbenchmarks: per-operation cost of contains / add /
 // remove for each structure across working-set sizes, plus layer panels
-// (in-node search, leaf hops, pool alloc+free).  These are not a paper
-// figure; they localize WHERE the Figure 9 differences come from (e.g. the
-// skip-list's pointer-chase per element vs the skip-tree's packed nodes as
-// the working set leaves cache).
+// (in-node search, leaf hops, pool alloc+free, guard pin/unpin, retire).
+// These are not a paper figure; they localize WHERE the Figure 9
+// differences come from (e.g. the skip-list's pointer-chase per element vs
+// the skip-tree's packed nodes as the working set leaves cache).
 #include <benchmark/benchmark.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -18,6 +21,8 @@
 #include "bench_common.hpp"
 #include "blinktree/blink_tree.hpp"
 #include "common/rng.hpp"
+#include "reclaim/ebr.hpp"
+#include "reclaim/leaky.hpp"
 #include "skiplist/skip_list.hpp"
 #include "skiptree/skip_tree.hpp"
 #include "skiptree/validate.hpp"
@@ -230,6 +235,66 @@ void BM_PoolAllocFree(benchmark::State& state) {
 
 BENCHMARK(BM_PoolAllocFree)
     ->Arg(64)->Arg(384)->Arg(768)->Iterations(5000000);
+
+/// Pins the calling thread to the first allowed CPU for one panel, then
+/// restores its mask (threads the benchmark library starts later inherit
+/// it).
+class pinned_panel {
+ public:
+  pinned_panel() {
+    pthread_getaffinity_np(pthread_self(), sizeof(saved_), &saved_);
+    lfst::bench::pin_to_cpu(0);
+  }
+  ~pinned_panel() {
+    pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
+  }
+  pinned_panel(const pinned_panel&) = delete;
+  pinned_panel& operator=(const pinned_panel&) = delete;
+
+ private:
+  cpu_set_t saved_{};
+};
+
+// The reclamation layer's two costs on the update path, split: entering
+// and leaving a guard (every operation does this once), and retiring one
+// replaced payload (every successful update does this once, inside its
+// guard).  BM_Retire pins a guard per retire as an update does, so the
+// retire share is BM_Retire minus BM_GuardPinUnpin.  The retired block is a
+// 384 B stand-in with a no-op deleter: the pool free it would trigger is
+// BM_PoolAllocFree's panel.  Each case uses a fresh domain; under leaky the
+// parked list grows by one entry per iteration until the domain dies.
+template <typename Policy>
+void BM_GuardPinUnpin(benchmark::State& state) {
+  pinned_panel pin;
+  typename Policy::domain_type domain;
+  for (auto _ : state) {
+    typename Policy::guard_type g(domain);
+    benchmark::DoNotOptimize(&g);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+template <typename Policy>
+void BM_Retire(benchmark::State& state) {
+  pinned_panel pin;
+  typename Policy::domain_type domain;
+  alignas(64) static std::byte block[384];
+  for (auto _ : state) {
+    typename Policy::guard_type g(domain);
+    Policy::retire(domain, lfst::reclaim::retired_block{
+                               block, [](void*) {}, sizeof(block)});
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+BENCHMARK_TEMPLATE(BM_GuardPinUnpin, lfst::reclaim::ebr_policy)
+    ->Iterations(5000000);
+BENCHMARK_TEMPLATE(BM_GuardPinUnpin, lfst::reclaim::leaky_policy)
+    ->Iterations(5000000);
+BENCHMARK_TEMPLATE(BM_Retire, lfst::reclaim::ebr_policy)
+    ->Iterations(1000000);
+BENCHMARK_TEMPLATE(BM_Retire, lfst::reclaim::leaky_policy)
+    ->Iterations(1000000);
 
 // Iteration also includes the snap-tree (the Figure 10 participant).
 BENCHMARK_TEMPLATE(BM_Iterate, lfst::skiptree::skip_tree<key>)

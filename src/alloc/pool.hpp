@@ -71,6 +71,7 @@
 // caches are gone).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -134,6 +135,17 @@ class pool {
       384, 512, 768, 1024, 1536, 2048, 3072, 4096};
   static constexpr int kClasses =
       static_cast<int>(sizeof(kClassSizes) / sizeof(kClassSizes[0]));
+  /// kFitClass[k]: the smallest class of at least k * kMinBlock bytes
+  /// (every class size is a multiple of kMinBlock).
+  static constexpr auto kFitClass = [] {
+    std::array<std::uint8_t, kMaxBlock / kMinBlock + 1> t{};
+    int ci = 0;
+    for (std::size_t k = 0; k < t.size(); ++k) {
+      while (kClassSizes[ci] < k * kMinBlock) ++ci;
+      t[k] = static_cast<std::uint8_t>(ci);
+    }
+    return t;
+  }();
   static constexpr std::size_t kSlabBytes = 64 * 1024;
   /// Slabs are carved from chunks of this size and alignment: one
   /// transparent huge page on x86-64.
@@ -148,12 +160,11 @@ class pool {
     LFST_FP_ALLOC("alloc.pool.allocate");
     tls_counters* tc = my_counters();
     if (tc != nullptr) ++tc->c.allocations;
-    const std::size_t block = block_size(bytes, align);
-    if (block == 0) {  // oversized or overaligned: global heap
+    const int ci = class_of(bytes, align);
+    if (ci < 0) {  // oversized or overaligned: global heap
       if (tc != nullptr) ++tc->c.fallbacks;
       return ::operator new(bytes, std::align_val_t{align});
     }
-    const int ci = class_index(block);
     tls_cache* c = my_cache();
     if (c != nullptr && !c->free_lists[ci].empty()) {
       void* p = c->free_lists[ci].back();
@@ -161,19 +172,18 @@ class pool {
       ++tc->c.pool_hits;
       return p;
     }
-    return refill_and_pop(ci, block, c, tc);
+    return refill_and_pop(ci, kClassSizes[ci], c, tc);
   }
 
   static void deallocate(void* p, std::size_t bytes,
                          std::size_t align) noexcept {
     tls_counters* tc = my_counters();
     if (tc != nullptr) ++tc->c.deallocations;
-    const std::size_t block = block_size(bytes, align);
-    if (block == 0) {
+    const int ci = class_of(bytes, align);
+    if (ci < 0) {
       ::operator delete(p, std::align_val_t{align});
       return;
     }
-    const int ci = class_index(block);
     tls_cache* c = my_cache();
     // deallocate() is noexcept but the free-list vectors can themselves hit
     // OOM growing; a block that cannot be recorded anywhere is dropped (a
@@ -216,18 +226,26 @@ class pool {
     return out;
   }
 
+  /// The class serving (bytes, align); -1 means "not pooled".  Pure
+  /// function of its inputs, so allocate/deallocate always agree.  The
+  /// chosen class must both fit `bytes` and have a natural alignment (its
+  /// largest power-of-two divisor; blocks sit at class-size multiples
+  /// inside 64 KiB-aligned slabs) covering `align`: one table load finds
+  /// the smallest class that fits, and only an alignment above 16 can step
+  /// past it (at most to the 4096 class, which covers every pooled align).
+  static constexpr int class_of(std::size_t bytes,
+                                std::size_t align) noexcept {
+    if (bytes > kMaxBlock || align > kMaxBlock) return -1;
+    int ci = kFitClass[(bytes + kMinBlock - 1) / kMinBlock];
+    while ((kClassSizes[ci] & (~kClassSizes[ci] + 1)) < align) ++ci;
+    return ci;
+  }
+
   /// Round (bytes, align) to the serving block size; 0 means "not pooled".
-  /// Pure function of its inputs, so allocate/deallocate always agree.
-  /// The chosen class must both fit `bytes` and have a natural alignment
-  /// (its largest power-of-two divisor; blocks sit at class-size multiples
-  /// inside 64 KiB-aligned slabs) covering `align`.
   static constexpr std::size_t block_size(std::size_t bytes,
                                           std::size_t align) noexcept {
-    if (bytes > kMaxBlock || align > kMaxBlock) return 0;
-    for (std::size_t cls : kClassSizes) {
-      if (cls >= bytes && (cls & (~cls + 1)) >= align) return cls;
-    }
-    return 0;
+    const int ci = class_of(bytes, align);
+    return ci < 0 ? 0 : kClassSizes[ci];
   }
 
  private:
@@ -263,12 +281,6 @@ class pool {
   static global_state& global() {
     static global_state* s = new global_state;
     return *s;
-  }
-
-  static constexpr int class_index(std::size_t block) noexcept {
-    int i = 0;
-    while (kClassSizes[i] != block) ++i;
-    return i;
   }
 
   template <typename Guarded>

@@ -42,7 +42,10 @@ struct bulk_load_ops {
     const std::size_t width = std::size_t{1} << core.opts.q_log2;  // 1/q
 
     // Leaf level, built right-to-left so each payload is born with its
-    // final link; the last leaf carries the +inf terminator.
+    // final link; the last leaf carries the +inf terminator.  That leaf
+    // reuses the fresh tree's initial leaf node, so no header is left in
+    // the arena unreachable.
+    node_t* initial = core.root.load(std::memory_order_relaxed)->node;
     const std::size_t nleaves = (keys.size() + width - 1) / width;
     std::vector<node_t*> level(nleaves);
     std::vector<T> level_max(nleaves);  // finite max; unused for the last
@@ -53,7 +56,13 @@ struct bulk_load_ops {
       const bool last = (c + 1 == nleaves);
       contents_t* payload = contents_t::template make_leaf<Alloc>(
           keys.subspan(begin, len), /*inf=*/last, /*link=*/next);
-      level[c] = core.alloc_node(payload);
+      if (last) {
+        Core::destroy(initial->payload.exchange(payload,
+                                                std::memory_order_relaxed));
+        level[c] = initial;
+      } else {
+        level[c] = core.alloc_node(payload);
+      }
       level_max[c] = keys[begin + len - 1];
       next = level[c];
     }

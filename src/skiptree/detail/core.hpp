@@ -4,7 +4,7 @@
 // paper's figures (see DESIGN.md "Module layering"):
 //
 //   detail/core.hpp       -- this file: members, lifecycle, primitives
-//   detail/traverse.hpp   -- wait-free descents            (Fig. 4)
+//   detail/traverse.hpp   -- the wait-free read descent    (Fig. 4)
 //   detail/insert.hpp     -- insert / split / root growth  (Fig. 5)
 //   detail/compact.hpp    -- remove + the four compaction transforms
 //                                                          (Fig. 6 / Fig. 8)
@@ -86,14 +86,17 @@ struct skip_tree_options {
 
 namespace detail {
 
-/// Where a descent reached the leaf level: the leaf payload snapshot, plus
-/// the level-1 payload snapshot it last went *down* from and the child slot
-/// it took there (`parent` is null when the root is a leaf).  The leaf
-/// cursor (detail/iterate.hpp) reads the parent's child array as its
-/// prefetch schedule.
+/// Where a descent reached the leaf level: the leaf node, its payload
+/// snapshot and the probe key's encoded index in it (see `search`), plus
+/// the level-1 payload snapshot the descent last went *down* from and the
+/// child slot it took there (`parent` is null when the root is a leaf).
+/// The leaf cursor (detail/iterate.hpp) reads the parent's child array as
+/// its prefetch schedule.
 template <typename T>
 struct leaf_entry {
-  const contents<T>* leaf = nullptr;
+  tree_node<T>* node = nullptr;
+  contents<T>* leaf = nullptr;
+  int index = 0;
   const contents<T>* parent = nullptr;
   std::uint32_t slot = 0;
 };
@@ -321,8 +324,8 @@ struct tree_core {
   /// from and slot 0 as its prefetch parent.
   leaf_entry<T> leftmost_leaf() const {
     const head_t* head = root.load(std::memory_order_acquire);
-    const node_t* nd = head->node;
-    const contents_t* cts = load_payload(nd);
+    node_t* nd = head->node;
+    contents_t* cts = load_payload(nd);
     const contents_t* parent = nullptr;
     while (!cts->leaf) {
       // An empty routing node has no children; recover over its link.
@@ -334,7 +337,7 @@ struct tree_core {
       }
       cts = load_payload(nd);
     }
-    return {cts, parent, 0};
+    return {.node = nd, .leaf = cts, .parent = parent};
   }
 
   /// Re-locate `v` at the leaf level after a failed CAS: walk right from
@@ -349,22 +352,6 @@ struct tree_core {
       nd = cts->link;
       assert(nd != nullptr);
     }
-  }
-
-  /// Plain descent (no cleanup) to the leaf position of `v`.
-  search move_forward_from_root(const T& v) {
-    const head_t* head = root.load(std::memory_order_acquire);
-    node_t* nd = head->node;
-    contents_t* cts = load_payload(nd);
-    int i = search_keys(*cts, v);
-    while (!cts->leaf) {
-      nd = is_past_end(i, *cts) ? cts->link
-                                : cts->children()[descend_index(i)];
-      cts = load_payload(nd);
-      prefetch_payload(cts);
-      i = search_keys(*cts, v);
-    }
-    return move_forward(nd, v);
   }
 };
 

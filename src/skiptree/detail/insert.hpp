@@ -19,6 +19,7 @@
 
 #include "common/backoff.hpp"
 #include "skiptree/detail/core.hpp"
+#include "skiptree/detail/traverse.hpp"
 
 namespace lfst::skiptree::detail {
 
@@ -242,9 +243,13 @@ struct insert_ops {
   /// Overwrite the stored element order-equivalent to `v` with `v` itself.
   /// Returns false iff no equivalent element is present; linearizes at the
   /// leaf CAS (success) or leaf payload read (failure).  OOM before the CAS
-  /// propagates with the stored element intact (strong guarantee).
-  static bool replace(Core& core, const T& v) {
-    search s = core.move_forward_from_root(v);
+  /// propagates with the stored element intact (strong guarantee).  The
+  /// first CAS target comes from the read descent; a lost CAS re-locates
+  /// `v` by walking right (move_forward).
+  template <typename Guard>
+  static bool replace(Core& core, const T& v, Guard& g) {
+    const leaf_entry<T> at = traverse_ops<Core>::locate(core, v, g);
+    search s{at.node, at.leaf, at.index};
     backoff bo;
     for (;;) {
       if (s.index < 0) return false;

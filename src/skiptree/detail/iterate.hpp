@@ -28,6 +28,7 @@
 
 #include "common/align.hpp"
 #include "skiptree/detail/core.hpp"
+#include "skiptree/detail/traverse.hpp"
 
 namespace lfst::skiptree::detail {
 
@@ -208,9 +209,6 @@ class leaf_iterator {
 template <typename Core>
 struct iterate_ops {
   using T = typename Core::key_type;
-  using contents_t = typename Core::contents_t;
-  using node_t = typename Core::node_t;
-  using head_t = typename Core::head_t;
   using cursor_t = leaf_cursor<T, typename Core::compare_t>;
 
   /// Ascending leaf scan; stops early when `fn` returns false.  Returns
@@ -227,34 +225,19 @@ struct iterate_ops {
   }
 
   /// Visit every member in [lo, hi) in ascending order, weakly
-  /// consistently: locate lo's leaf with one descent, then stream along the
-  /// leaf level.  Stops early if `fn` returns false; returns true iff the
-  /// range was exhausted.
-  template <typename Fn>
-  static bool for_range(const Core& core, const T& lo, const T& hi, Fn&& fn) {
-    const head_t* head = core.root.load(std::memory_order_acquire);
-    const node_t* nd = head->node;
-    const contents_t* cts = Core::load_payload(nd);
-    int i = core.search_keys(*cts, lo);
-    // The last level-1 payload the descent went down from, and its slot.
-    const contents_t* parent = nullptr;
-    std::uint32_t slot = 0;
-    while (!cts->leaf) {
-      if (Core::is_past_end(i, *cts)) {
-        nd = cts->link;
-      } else {
-        parent = cts;
-        slot = Core::descend_index(i);
-        nd = cts->children()[slot];
-      }
-      cts = Core::load_payload(nd);
-      Core::prefetch_payload(cts);
-      i = core.search_keys(*cts, lo);
-    }
-    cursor_t c(core.cmp, {cts, parent, slot}, Core::descend_index(i));
+  /// consistently: locate lo's leaf with the read descent, then stream
+  /// along the leaf level.  Stops early if `fn` returns false; returns true
+  /// iff the range was exhausted.  The descent restarts on eviction; the
+  /// leaf walk after it has no safe point.
+  template <typename Fn, typename Guard>
+  static bool for_range(const Core& core, const T& lo, const T& hi, Fn&& fn,
+                        Guard& g) {
+    const leaf_entry<T> at = traverse_ops<Core>::locate(core, lo, g);
+    // The cursor starts at lo's ceiling and only moves right, so every key
+    // it yields is >= lo.
+    cursor_t c(core.cmp, at, Core::descend_index(at.index));
     do {
       for (const T& key : c.keys()) {
-        if (core.cmp(key, lo)) continue;      // drifted left of the range
         if (!core.cmp(key, hi)) return true;  // key >= hi: range exhausted
         if (!fn(key)) return false;
       }

@@ -7,7 +7,8 @@
 // This header is the public facade; the algorithm lives in layered modules
 // under detail/ that map one-to-one onto the paper's figures:
 //
-//  * contains  (Fig. 4)  detail/traverse.hpp  -- wait-free descents.
+//  * contains  (Fig. 4)  detail/traverse.hpp  -- the wait-free read descent
+//                                               every read goes through.
 //  * add       (Fig. 5)  detail/insert.hpp    -- insert, split, root growth.
 //  * remove    (Fig. 6)  detail/compact.hpp   -- removal + the four online
 //                                               compaction transforms (Fig. 8).
@@ -206,7 +207,7 @@ class skip_tree {
   /// layer's assign).  Returns false iff no equivalent element is present.
   bool replace(const T& v) {
     guard_t g(core_.domain);
-    return detail::insert_ops<core_t>::replace(core_, v);
+    return detail::insert_ops<core_t>::replace(core_, v, g);
   }
 
   /// Smallest member of the set; false when empty.
@@ -227,7 +228,7 @@ class skip_tree {
   bool for_range(const T& lo, const T& hi, Fn&& fn) const {
     guard_t g(core_.domain);
     return detail::iterate_ops<core_t>::for_range(core_, lo, hi,
-                                                  std::forward<Fn>(fn));
+                                                  std::forward<Fn>(fn), g);
   }
 
   const skip_tree_options& options() const noexcept { return core_.opts; }

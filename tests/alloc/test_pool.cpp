@@ -62,6 +62,29 @@ TEST(PoolBlockSize, OversizedAndOveralignedAreNotPooled) {
   EXPECT_EQ(pool::block_size(64, 8192), 0u);
 }
 
+TEST(PoolBlockSize, TableLookupMatchesALinearScan) {
+  // The reference: the first class that fits `bytes` and whose natural
+  // alignment covers `align`, found by scanning every class.
+  const auto scan = [](std::size_t bytes, std::size_t align) {
+    if (bytes > pool::kMaxBlock || align > pool::kMaxBlock) return -1;
+    for (int ci = 0; ci < pool::kClasses; ++ci) {
+      const std::size_t cls = pool::kClassSizes[ci];
+      if (cls >= bytes && (cls & (~cls + 1)) >= align) return ci;
+    }
+    return -1;
+  };
+  for (std::size_t bytes = 1; bytes <= pool::kMaxBlock + 1; ++bytes) {
+    for (std::size_t align = 1; align <= 8192; align *= 2) {
+      const int want = scan(bytes, align);
+      ASSERT_EQ(pool::class_of(bytes, align), want)
+          << "bytes " << bytes << " align " << align;
+      ASSERT_EQ(pool::block_size(bytes, align),
+                want < 0 ? 0u : pool::kClassSizes[want])
+          << "bytes " << bytes << " align " << align;
+    }
+  }
+}
+
 // --- alignment -------------------------------------------------------------
 
 TEST(PoolPolicy, BlocksCarryTheirClassAlignment) {

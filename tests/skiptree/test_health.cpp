@@ -106,8 +106,8 @@ TEST(Health, CensusSeesDeadSeparatorsAndStrandedHeaders) {
 
   const validation_report fresh = inspector.validate();
   EXPECT_EQ(fresh.dead_separators, 0u);
-  EXPECT_EQ(fresh.headers_allocated, fresh.headers_reachable + 1)
-      << "only the constructor's initial leaf, replaced by the bulk load, "
+  EXPECT_EQ(fresh.headers_allocated, fresh.headers_reachable)
+      << "the bulk load reuses the constructor's initial leaf, so no header "
          "is off every path";
   EXPECT_EQ(fresh.headers_reachable, fresh.total_nodes);
 

@@ -76,7 +76,44 @@ TEST(SkipTreeSpans, DepthGrowsWithTheTree) {
   std::uint64_t total_depth = 0;
   for (const auto& s : spans) total_depth += s.depth;
   EXPECT_GT(total_depth, 0u)
-      << "descend_to_leaf steps must be charged to the contains span";
+      << "locate's steps must be charged to the contains span";
+}
+
+TEST(SkipTreeSpans, LocateChargesEveryLevelStepAndLeafHop) {
+  reclaim::ebr_domain domain;
+  skiptree::skip_tree_options o;
+  o.q_log2 = 2;
+  o.compaction = false;  // keep the empty leaf below for the hop
+
+  // A bulk-loaded tree is optimal: no empty node, no stale separator, so
+  // every descent takes exactly one step per level and no link hop.
+  std::vector<int> keys(2000);
+  for (int k = 0; k < 2000; ++k) keys[static_cast<std::size_t>(k)] = 2 * k;
+  auto bulk = skiptree::skip_tree<int>::from_sorted(keys, o, domain);
+  ASSERT_GE(bulk.height(), 2);
+  trace_registry::instance().reset();
+  for (int k = -1; k < 4002; k += 7) bulk.contains(k);
+  std::size_t probes = 0;
+  for (const auto& s : trace_registry::instance().drain()) {
+    if (s.id != sid::skiptree_contains) continue;
+    ++probes;
+    ASSERT_EQ(s.depth, static_cast<std::uint32_t>(bulk.height()));
+  }
+  EXPECT_EQ(probes, 572u);
+
+  // Root [10, +inf] over leaves [10] -> [+inf]; removing 10 leaves the
+  // first leaf empty, so a probe below 10 goes down one level and then
+  // hops the leaf link: two steps.  A probe above 10 goes straight down.
+  skiptree::skip_tree<int> tree(o, domain);
+  ASSERT_TRUE(tree.add_with_height(10, 1));
+  ASSERT_TRUE(tree.remove(10));
+  trace_registry::instance().reset();
+  EXPECT_FALSE(tree.contains(5));
+  EXPECT_FALSE(tree.contains(15));
+  const auto spans = trace_registry::instance().drain();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].depth, 2u) << "the leaf link hop is a step too";
+  EXPECT_EQ(spans[1].depth, 1u);
 }
 
 TEST(SkipTreeSpans, ContentionChargesRetriesToMutationSpans) {
