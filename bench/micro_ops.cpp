@@ -335,9 +335,11 @@ void BM_ContendedAddRemove(benchmark::State& state) {
 }
 BENCHMARK(BM_ContendedAddRemove)->Threads(4)->Iterations(250000);
 
-/// Console output as usual, plus every per-iteration run captured into the
-/// bench-JSON sidecar (one summary entry per case, named by the benchmark's
-/// canonical name -- stable across runs, which is what the gate joins on).
+/// Console output as usual, plus each case's repetitions folded into one
+/// bench-JSON summary entry (ops/ms over repetitions), named by the
+/// benchmark's canonical name -- stable across runs, which is what the gate
+/// joins on.  The library reports a case's repetitions in one call and its
+/// aggregates (mean, median, ...) in a second one, which records nothing.
 class json_capture_reporter : public benchmark::ConsoleReporter {
  public:
   explicit json_capture_reporter(lfst::bench::bench_json_reporter& out)
@@ -345,15 +347,17 @@ class json_capture_reporter : public benchmark::ConsoleReporter {
 
   void ReportRuns(const std::vector<Run>& reports) override {
     ConsoleReporter::ReportRuns(reports);
+    std::vector<double> items_per_ms;
     for (const Run& r : reports) {
       if (r.run_type != Run::RT_Iteration || r.error_occurred) continue;
       auto it = r.counters.find("items_per_second");
-      const double items_per_ms =
-          it == r.counters.end() ? 0.0
-                                 : static_cast<double>(it->second) / 1000.0;
-      out_.record(r.benchmark_name(), r.threads,
-                  lfst::summary::of({items_per_ms}));
+      items_per_ms.push_back(it == r.counters.end()
+                                 ? 0.0
+                                 : static_cast<double>(it->second) / 1000.0);
     }
+    if (items_per_ms.empty()) return;
+    out_.record(reports.front().benchmark_name(), reports.front().threads,
+                lfst::summary::of(std::move(items_per_ms)));
   }
 
  private:
@@ -365,8 +369,19 @@ class json_capture_reporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   lfst::bench::telemetry_reporter telemetry(argc, argv);
   lfst::bench::bench_json_reporter bench_json("micro", argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Three repetitions of every case, interleaved in random order across
+  // cases, unless the command line says otherwise (a later flag wins).  One
+  // slow stretch of the host then costs one repetition of a few cases, not
+  // the whole of several neighbouring ones.  The process is not pinned:
+  // BM_ContendedAddRemove's threads would inherit the mask.
+  std::vector<char*> args(argv, argv + argc);
+  char repetitions[] = "--benchmark_repetitions=3";
+  char interleave[] = "--benchmark_enable_random_interleaving=true";
+  args.insert(args.begin() + 1, {repetitions, interleave});
+  int nargs = static_cast<int>(args.size());
+  args.push_back(nullptr);
+  benchmark::Initialize(&nargs, args.data());
+  if (benchmark::ReportUnrecognizedArguments(nargs, args.data())) return 1;
   json_capture_reporter reporter(bench_json);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

@@ -1,11 +1,11 @@
 // Lock-free removal with online node compaction (paper Fig. 6 / Fig. 8).
 //
-// remove() performs one cleanup traversal that compacts nodes on the way
-// down, then CASes the key out of its leaf.  The relaxations of Sec. III
-// allow mutations to leave empty nodes and suboptimal child references
-// behind; the reachability properties (D1)-(D5) are preserved at every
-// step, and the four compaction transformations restore optimal paths
-// lazily:
+// remove() reaches its leaf through the one descent (traverse_ops::locate),
+// compacting nodes on the way down, then CASes the key out of its leaf.
+// The relaxations of Sec. III allow mutations to leave empty nodes and
+// suboptimal child references behind; the reachability properties
+// (D1)-(D5) are preserved at every step, and the four compaction
+// transformations restore optimal paths lazily:
 //
 //    8a  empty-node elimination        (clean_link / clean_node)
 //    8b  suboptimal-reference repair   (clean_node)
@@ -23,6 +23,7 @@
 
 #include "common/backoff.hpp"
 #include "skiptree/detail/core.hpp"
+#include "skiptree/detail/traverse.hpp"
 
 namespace lfst::skiptree::detail {
 
@@ -32,15 +33,37 @@ struct compact_ops {
   using Alloc = typename Core::alloc_t;
   using contents_t = typename Core::contents_t;
   using node_t = typename Core::node_t;
-  using head_t = typename Core::head_t;
   using search = typename Core::search;
 
-  /// The remove() driver.  Returns false iff `v` was absent.  OOM contract:
-  /// compaction failures along the way are skipped (compaction is optional
-  /// optimality repair); only the leaf-erase allocation itself can make the
-  /// call fail, and then the set is unchanged (strong guarantee).
-  static bool remove(Core& core, const T& v) {
-    search s = traverse_and_cleanup(core, v);
+  /// remove(): descend through `locate`, compacting each
+  /// routing node the descent leaves through a child (`clean_node`) and
+  /// bypassing empty successors at every link it crosses (`clean_link`),
+  /// then CAS `v` out of its leaf.  Returns false iff `v` was absent.  OOM
+  /// contract: compaction failures along the way are skipped (compaction is
+  /// optional optimality repair); only the leaf-erase allocation itself can
+  /// make the call fail, and then the set is unchanged (strong guarantee).
+  template <typename Guard>
+  static bool remove(Core& core, const T& v, Guard& g) {
+    struct cleanup {
+      Core& core;
+      // Slot 0's lower bound is the greatest element of the node the
+      // descent crossed a link from on this level; none if it crossed no
+      // link here or crossed from an empty node.
+      void down(node_t* nd, contents_t* cts, int i, int,
+                const contents_t* crossed) const {
+        if (!core.opts.compaction) return;
+        const T* lo = crossed != nullptr && crossed->nkeys > 0
+                          ? &crossed->max_key()
+                          : nullptr;
+        clean_node(core, nd, cts, Core::descend_index(i), lo);
+      }
+      node_t* right(node_t* nd, contents_t* cts) const {
+        return clean_link(core, nd, cts);
+      }
+    };
+    const leaf_entry<T> at =
+        traverse_ops<Core>::locate(core, v, g, cleanup{core});
+    search s{at.node, at.leaf, at.index};
     backoff bo;
     for (;;) {
       if (s.index < 0) {
@@ -64,42 +87,6 @@ struct compact_ops {
       core.bump_cas_failure(s.node, /*level=*/0);
       bo();
       s = core.move_forward(s.node, v);
-    }
-  }
-
-  /// Root-to-leaf traversal that performs node compaction along the way and
-  /// returns the leaf-level position of `v`.
-  static search traverse_and_cleanup(Core& core, const T& v) {
-    const head_t* head = core.root.load(std::memory_order_acquire);
-    node_t* nd = head->node;
-    contents_t* cts = Core::load_payload(nd);
-    int i = core.search_keys(*cts, v);
-    bool have_max = false;
-    T pred_max{};  // max element of the node a link was crossed from
-    while (!cts->leaf) {
-      if (Core::is_past_end(i, *cts)) {
-        if (cts->nkeys > 0) {
-          pred_max = cts->max_key();
-          have_max = true;
-        }
-        nd = clean_link(core, nd, cts);
-      } else {
-        const std::uint32_t idx = Core::descend_index(i);
-        if (core.opts.compaction) {
-          clean_node(core, nd, cts, idx, have_max ? &pred_max : nullptr);
-        }
-        nd = cts->children()[idx];
-        have_max = false;
-      }
-      cts = Core::load_payload(nd);
-      Core::prefetch_payload(cts);
-      i = core.search_keys(*cts, v);
-    }
-    for (;;) {
-      if (!Core::is_past_end(i, *cts)) return search{nd, cts, i};
-      nd = clean_link(core, nd, cts);
-      cts = Core::load_payload(nd);
-      i = core.search_keys(*cts, v);
     }
   }
 

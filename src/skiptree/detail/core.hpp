@@ -4,7 +4,8 @@
 // paper's figures (see DESIGN.md "Module layering"):
 //
 //   detail/core.hpp       -- this file: members, lifecycle, primitives
-//   detail/traverse.hpp   -- the wait-free read descent    (Fig. 4)
+//   detail/traverse.hpp   -- the one descent, wait-free for reads
+//                                                          (Fig. 4)
 //   detail/insert.hpp     -- insert / split / root growth  (Fig. 5)
 //   detail/compact.hpp    -- remove + the four compaction transforms
 //                                                          (Fig. 6 / Fig. 8)
@@ -81,7 +82,10 @@ constexpr std::string_view tree_counter_name(tree_counter c) noexcept {
 struct skip_tree_options {
   int q_log2 = 5;           ///< q = 2^-q_log2; paper default q = 1/32
   int max_height = 24;      ///< cap on element heights (levels 0..max_height)
-  bool compaction = true;   ///< enable online node compaction (ablation hook)
+  /// Ablation hook: false turns off `clean_node`, remove's repairs of the
+  /// routing nodes it descends through (Fig. 8).  `clean_link`, the bypass
+  /// of empty successors at each link remove crosses, stays on.
+  bool compaction = true;
 };
 
 namespace detail {
@@ -340,8 +344,9 @@ struct tree_core {
     return {.node = nd, .leaf = cts, .parent = parent};
   }
 
-  /// Re-locate `v` at the leaf level after a failed CAS: walk right from
-  /// `nd` to the first node with an element >= v.  Property (D5) makes
+  /// Re-locate `v` on `nd`'s level after a failed CAS: walk right from
+  /// `nd` to the first node with an element >= v.  The mutations' only
+  /// walk-right loop.  Property (D5) makes
   /// walking right always safe: once every element of a node is < v it
   /// stays that way in all futures.
   search move_forward(node_t* nd, const T& v) {

@@ -225,7 +225,7 @@ struct iterate_ops {
   }
 
   /// Visit every member in [lo, hi) in ascending order, weakly
-  /// consistently: locate lo's leaf with the read descent, then stream
+  /// consistently: locate lo's leaf with the descent, then stream
   /// along the leaf level.  Stops early if `fn` returns false; returns true
   /// iff the range was exhausted.  The descent restarts on eviction; the
   /// leaf walk after it has no safe point.

@@ -7,8 +7,8 @@
 // This header is the public facade; the algorithm lives in layered modules
 // under detail/ that map one-to-one onto the paper's figures:
 //
-//  * contains  (Fig. 4)  detail/traverse.hpp  -- the wait-free read descent
-//                                               every read goes through.
+//  * contains  (Fig. 4)  detail/traverse.hpp  -- the one descent every
+//                                               operation goes through.
 //  * add       (Fig. 5)  detail/insert.hpp    -- insert, split, root growth.
 //  * remove    (Fig. 6)  detail/compact.hpp   -- removal + the four online
 //                                               compaction transforms (Fig. 8).
@@ -104,7 +104,7 @@ class skip_tree {
     LFST_T_SPAN(::lfst::trace::sid::skiptree_add);
     LFST_TEL_OP(::lfst::telemetry::skid::op_add);
     guard_t g(core_.domain);
-    return detail::insert_ops<core_t>::add(core_, v, height);
+    return detail::insert_ops<core_t>::add(core_, v, height, g);
   }
 
   /// Lock-free removal with piggybacked node compaction.  Returns false iff
@@ -113,7 +113,7 @@ class skip_tree {
     LFST_T_SPAN(::lfst::trace::sid::skiptree_remove);
     LFST_TEL_OP(::lfst::telemetry::skid::op_remove);
     guard_t g(core_.domain);
-    return detail::compact_ops<core_t>::remove(core_, v);
+    return detail::compact_ops<core_t>::remove(core_, v, g);
   }
 
   // --- observers -------------------------------------------------------------

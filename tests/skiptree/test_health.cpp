@@ -72,12 +72,14 @@ TEST(Health, OptimalTreeOccupancyNearIdeal) {
 TEST(Health, ChurnWithoutCompactionLeavesVisibleBacklog) {
   reclaim::ebr_domain domain;
   skip_tree_options o = small_nodes();
-  o.compaction = false;  // ablation hook: nobody repairs the damage
+  o.compaction = false;  // ablation hook: no routing node is repaired
   skip_tree<int> tree(o, domain);
 
   for (int k = 0; k < 2048; ++k) ASSERT_TRUE(tree.add(k));
   for (int k = 0; k < 2048; ++k) {
-    if (k % 8 != 0) ASSERT_TRUE(tree.remove(k));
+    if (k % 8 != 0) {
+      ASSERT_TRUE(tree.remove(k));
+    }
   }
 
   health_options opts;

@@ -1,13 +1,17 @@
-// Every skip-tree read reaches its leaf through one descent,
+// Every skip-tree operation reaches its leaf through one descent,
 // `traverse_ops::locate`, whose steps are cooperative-eviction safe points:
 // when the guard's check() reports an eviction, every pointer in hand is
-// stale and the descent restarts from the root.
+// stale and the descent restarts from the root.  `add` and `remove` take the
+// same descent, recording hints and compacting on the way down.
 //
 // The policy below wraps the EBR guard and reports an eviction exactly once
 // per operation, at that operation's n-th check() (the EBR pin itself stays
 // put, so the restart is the only thing under test).  For every n from 1 to
-// 6, each read operation must still agree with a std::set oracle, and each
-// must actually pass the safe point: the policy counts the checks.
+// 6, each operation must still agree with a std::set oracle, and each must
+// actually pass the safe point: the policy counts the checks.  The writers
+// remove every probed key and re-add every other one, so routing copies go
+// dead and remove's compaction has work to do; after each n the tree must
+// validate and list exactly the oracle's keys.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,11 +70,20 @@ struct by_key {
 using tree_t = skip_tree<entry, by_key, evicting_policy>;
 using oracle_t = std::set<entry, by_key>;
 
-enum op { kContains, kLowerBound, kGet, kForRange, kReplace, kOps };
-constexpr const char* kOpNames[kOps] = {"contains", "lower_bound", "get",
-                                        "for_range", "replace"};
+enum op {
+  kContains,
+  kLowerBound,
+  kGet,
+  kForRange,
+  kReplace,
+  kRemove,
+  kAdd,
+  kOps
+};
+constexpr const char* kOpNames[kOps] = {
+    "contains", "lower_bound", "get", "for_range", "replace", "remove", "add"};
 
-TEST(ReadRestart, EveryReadRestartsAtItsNthSafePoint) {
+TEST(ReadRestart, EveryOperationRestartsAtItsNthSafePoint) {
   reclaim::ebr_domain domain;
   skip_tree_options o;
   o.q_log2 = 2;  // 4-key nodes: 8000 keys build a tree of height >= 2
@@ -144,7 +157,25 @@ TEST(ReadRestart, EveryReadRestartsAtItsNthSafePoint) {
           oracle.insert(repl);
         }
       });
+      run(kRemove, [&] {
+        EXPECT_EQ(tree.remove(probe), oracle.erase(probe) == 1) << p;
+      });
+      if ((p + 3) / 29 % 2 == 0) {
+        run(kAdd, [&] {
+          const entry e{p, n};
+          EXPECT_EQ(tree.add(e), oracle.insert(e).second) << p;
+        });
+      }
     }
+
+    const auto rep =
+        skip_tree_inspector<entry, by_key, evicting_policy>(tree).validate();
+    ASSERT_TRUE(rep.ok) << "n = " << n << "\n" << rep.to_string();
+    std::vector<long> listed;
+    tree.for_each([&](const entry& e) { listed.push_back(e.k); });
+    std::vector<long> want;
+    for (const entry& e : oracle) want.push_back(e.k);
+    ASSERT_EQ(listed, want) << "n = " << n;
 
     for (int which = 0; which < kOps; ++which) {
       EXPECT_GE(min_checks[which], 2)
@@ -155,7 +186,7 @@ TEST(ReadRestart, EveryReadRestartsAtItsNthSafePoint) {
   }
   check_log::evict_at = 0;
 
-  // Every replaced value is visible, and the tree is intact.
+  // Every replaced or re-added value is visible, and the tree is intact.
   for (const entry& e : oracle) {
     entry out;
     ASSERT_TRUE(tree.get(e, out));

@@ -100,6 +100,14 @@ TEST(SkipTreeSpans, LocateChargesEveryLevelStepAndLeafHop) {
     ASSERT_EQ(s.depth, static_cast<std::uint32_t>(bulk.height()));
   }
   EXPECT_EQ(probes, 572u);
+  // remove descends through locate too: an absent key costs the same path.
+  trace_registry::instance().reset();
+  EXPECT_FALSE(bulk.remove(1));
+  const auto removes = trace_registry::instance().drain();
+  ASSERT_EQ(removes.size(), 1u);
+  EXPECT_EQ(removes[0].id, sid::skiptree_remove);
+  EXPECT_EQ(removes[0].depth, static_cast<std::uint32_t>(bulk.height()))
+      << "remove's descent charges one step per level";
 
   // Root [10, +inf] over leaves [10] -> [+inf]; removing 10 leaves the
   // first leaf empty, so a probe below 10 goes down one level and then
