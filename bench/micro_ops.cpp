@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks: per-operation cost of contains / add /
 // remove for each structure across working-set sizes, plus layer panels
-// (in-node search, leaf hops, pool alloc+free, guard pin/unpin, retire).
+// (in-node search, leaf hops, pool alloc+free, guard pin/unpin, retire, and
+// pin+retire on four threads sharing one domain).
 // These are not a paper figure; they localize WHERE the Figure 9
 // differences come from (e.g. the skip-list's pointer-chase per element vs
 // the skip-tree's packed nodes as the working set leaves cache).
@@ -236,14 +237,14 @@ void BM_PoolAllocFree(benchmark::State& state) {
 BENCHMARK(BM_PoolAllocFree)
     ->Arg(64)->Arg(384)->Arg(768)->Iterations(5000000);
 
-/// Pins the calling thread to the first allowed CPU for one panel, then
+/// Pins the calling thread to the `slot`-th allowed CPU for one panel, then
 /// restores its mask (threads the benchmark library starts later inherit
 /// it).
 class pinned_panel {
  public:
-  pinned_panel() {
+  explicit pinned_panel(int slot = 0) {
     pthread_getaffinity_np(pthread_self(), sizeof(saved_), &saved_);
-    lfst::bench::pin_to_cpu(0);
+    lfst::bench::pin_to_cpu(slot);
   }
   ~pinned_panel() {
     pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
@@ -287,6 +288,22 @@ void BM_Retire(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+// BM_Retire with four threads on one domain, each pinned to its own CPU: the
+// pattern of perfbench's write_cached, where every update pins and retires.
+// What it adds to the single-thread panels is the traffic on cache lines
+// the threads share (the global epoch, and any domain-wide counter).
+void BM_PinRetireShared(benchmark::State& state) {
+  static lfst::reclaim::ebr_domain domain;
+  pinned_panel pin(state.thread_index());
+  alignas(64) static std::byte block[384];
+  for (auto _ : state) {
+    lfst::reclaim::ebr_domain::guard g(domain);
+    domain.retire(lfst::reclaim::retired_block{
+        block, [](void*) {}, sizeof(block)});
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 BENCHMARK_TEMPLATE(BM_GuardPinUnpin, lfst::reclaim::ebr_policy)
     ->Iterations(5000000);
 BENCHMARK_TEMPLATE(BM_GuardPinUnpin, lfst::reclaim::leaky_policy)
@@ -295,6 +312,7 @@ BENCHMARK_TEMPLATE(BM_Retire, lfst::reclaim::ebr_policy)
     ->Iterations(1000000);
 BENCHMARK_TEMPLATE(BM_Retire, lfst::reclaim::leaky_policy)
     ->Iterations(1000000);
+BENCHMARK(BM_PinRetireShared)->Threads(4)->UseRealTime()->Iterations(1000000);
 
 // Iteration also includes the snap-tree (the Figure 10 participant).
 BENCHMARK_TEMPLATE(BM_Iterate, lfst::skiptree::skip_tree<key>)

@@ -35,6 +35,14 @@
 // Limbo is accounted byte-exactly (`stats()`), so the cost of a stall is
 // visible, but nothing caps it: eviction is the only thing that bounds it.
 //
+// Fast path.  A pin or a retire touches the thread's own slot plus one read
+// of the line holding the global epoch, which changes once per epoch.  The
+// outermost pin collects the slot's expired buckets only when the epoch it
+// published differs from the one the slot last collected at (nothing can
+// have expired in between), and limbo is counted per slot under the slot's
+// own limbo lock.  `stats()` sums the slots; the byte high-water mark is the
+// largest such sum seen at an advance attempt or a `stats()` read.
+//
 // The contract: a reader that never reaches a safe point (wedged, or inside
 // a walk without one) blocks every grace period, and limbo grows without
 // bound for as long as it stays pinned -- but nothing it might still hold is
@@ -92,6 +100,10 @@ struct flush_result {
 };
 
 /// Point-in-time footprint of a domain (exposed through structural_stats).
+/// The limbo counts are a sum of per-slot relaxed reads: exact once the
+/// domain is quiesced.  `limbo_bytes_hwm` is the largest `limbo_bytes` sum
+/// seen at an epoch-advance attempt or a `stats()` read, so a peak that
+/// rises and falls between two of those is not seen.
 struct domain_stats {
   std::size_t limbo_blocks = 0;
   std::size_t limbo_bytes = 0;
@@ -105,6 +117,8 @@ namespace detail {
 /// owner; the observation fields belong to the (single) stall driver; limbo
 /// state is owner-only except under `limbo_lock`, which arbitrates
 /// try_flush()'s foreign-slot collection against the owner's stash/collect.
+/// `limbo_blocks`/`limbo_bytes` mirror the three lists' totals: written only
+/// under `limbo_lock`, read without it by stats() and the advancer.
 /// Aligned to the false-sharing range because each slot is written by
 /// exactly one thread on the hot path.
 struct alignas(kFalseSharingRange) ebr_slot {
@@ -115,6 +129,8 @@ struct alignas(kFalseSharingRange) ebr_slot {
   std::atomic<std::uint32_t> flags{0};
   std::atomic<bool> in_use{false};
   std::atomic<bool> limbo_lock{false};
+  std::atomic<std::size_t> limbo_blocks{0};
+  std::atomic<std::size_t> limbo_bytes{0};
 
   // Stall-driver-only observation state (see ebr_domain::stall_tick).
   std::uint64_t observed_epoch = kQuiescent;
@@ -124,8 +140,30 @@ struct alignas(kFalseSharingRange) ebr_slot {
   unsigned depth = 0;             // guard nesting level
   std::uint64_t pinned = 0;       // epoch published while depth > 0
   std::uint64_t retire_ticks = 0; // retires since last advance attempt
+  std::uint64_t collected_epoch = 0;  // global epoch of the last collect
   retired_list limbo[3];
   std::uint64_t limbo_epoch[3] = {0, 0, 0};  // generation tag per bucket
+
+  // The counters have one writer at a time (the lock holder), so a plain
+  // load+store suffices; they are atomic only for the lock-free readers.
+  void count_retired(std::size_t bytes) noexcept {
+    limbo_blocks.store(limbo_blocks.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
+    limbo_bytes.store(limbo_bytes.load(std::memory_order_relaxed) + bytes,
+                      std::memory_order_relaxed);
+  }
+
+  /// Free every block of bucket `b` and uncount it.  Caller holds
+  /// limbo_lock.
+  void reclaim_bucket(int b) {
+    limbo_blocks.store(
+        limbo_blocks.load(std::memory_order_relaxed) - limbo[b].size(),
+        std::memory_order_relaxed);
+    limbo_bytes.store(
+        limbo_bytes.load(std::memory_order_relaxed) - limbo[b].bytes(),
+        std::memory_order_relaxed);
+    limbo[b].reclaim_all();
+  }
 
   void lock_limbo() noexcept {
     while (limbo_lock.exchange(true, std::memory_order_acquire)) {
@@ -197,14 +235,14 @@ class ebr_domain {
     // would be off by one: the global may already be pinned+1 at unlink
     // time, and a reader pinned there could outlive the grace period.
     const std::uint64_t g = global_epoch_.load(std::memory_order_seq_cst);
-    account_limbo_add(b.bytes);
     s.lock_limbo();
     stash(s, g, b);
     s.unlock_limbo();
     if (++s.retire_ticks >= kAdvanceEvery) {
       s.retire_ticks = 0;
       try_advance();
-      collect(s);
+      const std::uint64_t now = global_epoch_.load(std::memory_order_acquire);
+      if (now != s.collected_epoch) collect(s, now);
     }
   }
 
@@ -248,8 +286,7 @@ class ebr_domain {
         if (!s.limbo[b].empty() && s.limbo_epoch[b] + 2 <= g) {
           r.flushed_blocks += s.limbo[b].size();
           r.flushed_bytes += s.limbo[b].bytes();
-          account_limbo_sub(s.limbo[b].size(), s.limbo[b].bytes());
-          s.limbo[b].reclaim_all();
+          s.reclaim_bucket(b);
         }
       }
       s.unlock_limbo();
@@ -283,12 +320,17 @@ class ebr_domain {
     return b;
   }
 
-  /// Domain-wide footprint snapshot (relaxed reads; exact once quiesced).
+  /// Domain-wide footprint snapshot: the sum of every slot's counts
+  /// (relaxed reads; exact once quiesced).  Raises the high-water mark to
+  /// the byte sum it read.
   domain_stats stats() const noexcept {
     domain_stats d;
-    d.limbo_blocks = limbo_blocks_.load(std::memory_order_relaxed);
-    d.limbo_bytes = limbo_bytes_.load(std::memory_order_relaxed);
-    d.limbo_bytes_hwm = limbo_bytes_hwm_.load(std::memory_order_relaxed);
+    const std::size_t n = high_water_.load(std::memory_order_acquire);
+    for (std::size_t i = 0; i < n; ++i) {
+      d.limbo_blocks += slots_[i].limbo_blocks.load(std::memory_order_relaxed);
+      d.limbo_bytes += slots_[i].limbo_bytes.load(std::memory_order_relaxed);
+    }
+    d.limbo_bytes_hwm = raise_hwm(d.limbo_bytes);
     d.epoch = global_epoch_.load(std::memory_order_acquire);
     return d;
   }
@@ -331,7 +373,7 @@ class ebr_domain {
       }
     }
     r.advanced = try_advance();
-    r.limbo_bytes = limbo_bytes_.load(std::memory_order_relaxed);
+    r.limbo_bytes = stats().limbo_bytes;
     return r;
   }
 
@@ -467,7 +509,9 @@ class ebr_domain {
       g = g2;
     }
     s.pinned = g;
-    collect(s);
+    // Nothing expires while the epoch stands still, so a slot that already
+    // collected at `g` has nothing to free.
+    if (g != s.collected_epoch) collect(s, g);
   }
 
   void unpin(detail::ebr_slot& s) {
@@ -498,17 +542,23 @@ class ebr_domain {
   }
 
   /// Advance the global epoch if every pinned thread has observed it.  A
-  /// lagging slot always blocks: only its owner can move it forward.
+  /// lagging slot always blocks: only its owner can move it forward.  The
+  /// same scan sums the slots' limbo bytes into the high-water mark.
   bool try_advance() {
     LFST_T_SPAN(::lfst::trace::sid::ebr_advance);
     LFST_FP_POINT("ebr.advance");
     const std::uint64_t g = global_epoch_.load(std::memory_order_seq_cst);
     const std::size_t n = high_water_.load(std::memory_order_acquire);
+    bool lagging = false;
+    std::size_t bytes = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t e =
           slots_[i].epoch.load(std::memory_order_seq_cst);
-      if (e != detail::ebr_slot::kQuiescent && e != g) return false;
+      if (e != detail::ebr_slot::kQuiescent && e != g) lagging = true;
+      bytes += slots_[i].limbo_bytes.load(std::memory_order_relaxed);
     }
+    raise_hwm(bytes);
+    if (lagging) return false;
     std::uint64_t expected = g;
     if (global_epoch_.compare_exchange_strong(expected, g + 1,
                                               std::memory_order_seq_cst)) {
@@ -523,56 +573,44 @@ class ebr_domain {
   void stash(detail::ebr_slot& s, std::uint64_t e, retired_block b) {
     const int bucket = static_cast<int>(e % 3);
     if (s.limbo_epoch[bucket] != e) {
-      if (!s.limbo[bucket].empty()) {
-        account_limbo_sub(s.limbo[bucket].size(), s.limbo[bucket].bytes());
-        s.limbo[bucket].reclaim_all();
-      }
+      if (!s.limbo[bucket].empty()) s.reclaim_bucket(bucket);
       s.limbo_epoch[bucket] = e;
     }
     s.limbo[bucket].push(b);
+    s.count_retired(b.bytes);
   }
 
-  /// Reclaim this thread's buckets whose grace period has elapsed.
-  void collect(detail::ebr_slot& s) {
-    const std::uint64_t g = global_epoch_.load(std::memory_order_acquire);
+  /// Reclaim this thread's buckets whose grace period has elapsed by global
+  /// epoch `g`, and remember `g` as the slot's last collection.
+  void collect(detail::ebr_slot& s, std::uint64_t g) {
+    s.collected_epoch = g;
     s.lock_limbo();
     for (int b = 0; b < 3; ++b) {
       if (!s.limbo[b].empty() && s.limbo_epoch[b] + 2 <= g) {
-        account_limbo_sub(s.limbo[b].size(), s.limbo[b].bytes());
-        s.limbo[b].reclaim_all();
+        s.reclaim_bucket(b);
       }
     }
     s.unlock_limbo();
   }
 
-  // --- limbo accounting ------------------------------------------------------
-
-  /// Count one retired block of `bytes` into limbo and raise the byte
-  /// high-watermark.
-  void account_limbo_add(std::size_t bytes) noexcept {
-    limbo_blocks_.fetch_add(1, std::memory_order_relaxed);
-    if (bytes == 0) return;  // unknown footprint: counted as a block only
-    const std::size_t nb =
-        limbo_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  /// Raise the byte high-water mark to `bytes`; returns the new mark.
+  std::size_t raise_hwm(std::size_t bytes) const noexcept {
     std::size_t hwm = limbo_bytes_hwm_.load(std::memory_order_relaxed);
-    while (hwm < nb && !limbo_bytes_hwm_.compare_exchange_weak(
-                           hwm, nb, std::memory_order_relaxed)) {
+    while (hwm < bytes && !limbo_bytes_hwm_.compare_exchange_weak(
+                              hwm, bytes, std::memory_order_relaxed)) {
     }
+    return hwm < bytes ? bytes : hwm;
   }
 
-  void account_limbo_sub(std::size_t blocks, std::size_t bytes) noexcept {
-    limbo_blocks_.fetch_sub(blocks, std::memory_order_relaxed);
-    if (bytes != 0) limbo_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-  }
-
-  const std::uint64_t id_;
-  std::atomic<std::uint64_t> global_epoch_{1};
+  // Every pin reads the global epoch and every guard reads `id_`; the line
+  // holding them changes once per epoch, and nothing the hot path writes
+  // shares it.  The high-water mark, raised at advance attempts, gets a
+  // line of its own.
+  alignas(kFalseSharingRange) std::atomic<std::uint64_t> global_epoch_{1};
   std::atomic<std::size_t> high_water_{0};
-
-  // Limbo accounting (domain-wide, byte-exact).
-  std::atomic<std::size_t> limbo_blocks_{0};
-  std::atomic<std::size_t> limbo_bytes_{0};
-  std::atomic<std::size_t> limbo_bytes_hwm_{0};
+  const std::uint64_t id_;
+  alignas(kFalseSharingRange) mutable std::atomic<std::size_t>
+      limbo_bytes_hwm_{0};
 
   detail::ebr_slot slots_[kMaxThreads];
 

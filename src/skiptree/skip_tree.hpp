@@ -250,10 +250,13 @@ class skip_tree {
     std::uint64_t compactions_skipped = 0; ///< repairs abandoned under OOM
     // Reclamation footprint of the tree's domain (shared across structures
     // on the same domain; zero under reclamation policies whose domains do
-    // not track limbo, e.g. leaky).
+    // not track limbo, e.g. leaky).  The counts sum the domain's per-thread
+    // slots: exact once the domain is quiesced.
     std::uint64_t limbo_blocks = 0;     ///< blocks awaiting their grace period
-    std::uint64_t limbo_bytes = 0;      ///< exact bytes awaiting reclamation
-    std::uint64_t limbo_bytes_hwm = 0;  ///< peak of limbo_bytes over the run
+    std::uint64_t limbo_bytes = 0;      ///< bytes awaiting reclamation
+    /// Largest limbo_bytes seen at an epoch-advance attempt or a stats()
+    /// read over the run.
+    std::uint64_t limbo_bytes_hwm = 0;
   };
 
   /// CAS-contention heatmap (skiptree/heatmap.hpp): every lost payload CAS

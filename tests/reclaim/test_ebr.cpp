@@ -82,6 +82,34 @@ TEST(Ebr, EpochAdvancesWhenAllQuiescent) {
   EXPECT_GT(d.epoch(), e0);
 }
 
+// The outermost pin collects only when the epoch moved since the slot's
+// last collection: a pin at an unchanged epoch leaves limbo as it was, and
+// the first pin after the epoch moved two past the retire frees it.
+TEST(Ebr, NextPinCollectsOnceTheEpochMoves) {
+  ebr_domain d;
+  const int before = counted::live.load();
+  {
+    ebr_domain::guard g(d);
+    // Fewer than kAdvanceEvery: no advance or collection from retire().
+    for (int i = 0; i < 10; ++i) d.retire(new counted);
+  }
+  { ebr_domain::guard g(d); }
+  EXPECT_EQ(d.my_limbo_size(), 10u) << "a pin at an unchanged epoch";
+
+  // stall_tick advances the epoch but never touches a slot's limbo.
+  const std::uint64_t e0 = d.epoch();
+  EXPECT_TRUE(d.stall_tick(stall_params{}).advanced);
+  EXPECT_TRUE(d.stall_tick(stall_params{}).advanced);
+  ASSERT_EQ(d.epoch(), e0 + 2);
+  EXPECT_EQ(d.my_limbo_size(), 10u);
+  EXPECT_EQ(counted::live.load(), before + 10);
+
+  { ebr_domain::guard g(d); }
+  EXPECT_EQ(d.my_limbo_size(), 0u) << "the first pin after the move";
+  EXPECT_EQ(counted::live.load(), before);
+  EXPECT_EQ(d.stats().limbo_blocks, 0u);
+}
+
 TEST(Ebr, GuardIsReentrant) {
   ebr_domain d;
   ebr_domain::guard outer(d);

@@ -48,6 +48,15 @@ TEST(EbrThreads, LimboLeftByExitedThreadIsAdopted) {
     });
     worker.join();
     EXPECT_GE(counted::live.load(), 100);
+    EXPECT_EQ(d.stats().limbo_blocks, 100u);
+    // The next thread adopts the worker's slot (the main thread holds the
+    // other one): its limbo is the adopter's now and still counted.
+    std::thread adopter([&] {
+      EXPECT_EQ(d.my_limbo_size(), 100u);
+      EXPECT_EQ(d.stats().limbo_blocks, 100u);
+      EXPECT_EQ(d.stats().limbo_bytes, 100 * sizeof(counted));
+    });
+    adopter.join();
   }
   // Successor threads adopt recycled slots and churn epochs.
   for (int round = 0; round < 8; ++round) {
@@ -60,6 +69,8 @@ TEST(EbrThreads, LimboLeftByExitedThreadIsAdopted) {
   d.flush();
   d.flush();
   EXPECT_EQ(counted::live.load(), 0);
+  EXPECT_EQ(d.stats().limbo_blocks, 0u);
+  EXPECT_EQ(d.stats().limbo_bytes, 0u);
 }
 
 TEST(EbrThreads, ParallelThreadChurnWithConcurrentPinners) {

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <thread>
+#include <vector>
 
 #include "reclaim/ebr.hpp"
 
@@ -211,6 +212,60 @@ TEST(LimboAccounting, ParkedReaderHoldsEveryRetiredByte) {
   d.flush();
   EXPECT_EQ(counted::live.load(), before);
   EXPECT_EQ(d.stats().limbo_bytes, 0u);
+}
+
+// Limbo is counted per slot; stats() sums every slot.  Four threads retire
+// distinct numbers of distinctly sized blocks while a parked reader keeps
+// all of it in limbo, and the main thread samples stats() meanwhile.
+TEST(LimboAccounting, StatsSumEverySlotExactly) {
+  ebr_domain d;
+  const int before = counted::live.load();
+  pinned_reader reader(d, pinned_reader::mode::parked);
+
+  constexpr int kThreads = 4;
+  std::size_t want_blocks = 0;
+  std::size_t want_bytes = 0;
+  std::atomic<int> done{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    // Past kAdvanceEvery, so advance attempts run mid-retire too.
+    const int n = 150 + 37 * t;
+    const std::size_t bytes = 8 * static_cast<std::size_t>(t + 1);
+    want_blocks += static_cast<std::size_t>(n);
+    want_bytes += static_cast<std::size_t>(n) * bytes;
+    writers.emplace_back([&d, &done, n, bytes] {
+      {
+        ebr_domain::guard g(d);
+        for (int i = 0; i < n; ++i) {
+          d.retire(retired_block{new counted, &delete_of<counted>, bytes});
+        }
+      }
+      done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  std::size_t most_read = 0;
+  while (done.load(std::memory_order_acquire) < kThreads) {
+    const domain_stats s = d.stats();
+    EXPECT_LE(s.limbo_blocks, want_blocks);
+    EXPECT_LE(s.limbo_bytes, want_bytes);
+    EXPECT_GE(s.limbo_bytes_hwm, s.limbo_bytes);
+    most_read = std::max(most_read, s.limbo_bytes);
+    std::this_thread::yield();
+  }
+  for (auto& w : writers) w.join();
+
+  const domain_stats s = d.stats();
+  EXPECT_EQ(s.limbo_blocks, want_blocks);
+  EXPECT_EQ(s.limbo_bytes, want_bytes);
+  EXPECT_GE(s.limbo_bytes_hwm, want_bytes);
+  EXPECT_GE(s.limbo_bytes_hwm, most_read);
+  EXPECT_EQ(counted::live.load(), before + static_cast<int>(want_blocks));
+
+  reader.release();
+  d.flush();
+  EXPECT_EQ(d.stats().limbo_blocks, 0u);
+  EXPECT_EQ(d.stats().limbo_bytes, 0u);
+  EXPECT_EQ(counted::live.load(), before);
 }
 
 TEST(Watchdog, ThreadDetectsInjectedStallWithinBoundedTicks) {

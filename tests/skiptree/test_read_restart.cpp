@@ -11,7 +11,9 @@
 // actually pass the safe point: the policy counts the checks.  The writers
 // remove every probed key and re-add every other one, so routing copies go
 // dead and remove's compaction has work to do; after each n the tree must
-// validate and list exactly the oracle's keys.
+// validate and list exactly the oracle's keys.  A second test builds, with
+// explicit heights, a shape in which a per-level bound carried across
+// a restart would make remove's compaction strand keys.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -192,6 +194,61 @@ TEST(ReadRestart, EveryOperationRestartsAtItsNthSafePoint) {
     ASSERT_TRUE(tree.get(e, out));
     ASSERT_EQ(out.v, e.v) << e.k;
   }
+  const auto rep =
+      skip_tree_inspector<entry, by_key, evicting_policy>(tree).validate();
+  EXPECT_TRUE(rep.ok) << rep.to_string();
+}
+
+// An eviction restart starts every per-level bound over.  The shape below
+// is built with explicit heights and removes (the absent-key removes only
+// compact): before the last remove the root's slot-0 child holds [10, 19],
+// so probe 26 is past its end and crosses a link there, then crosses
+// another on level 1 from a node holding [19, 24], and the eviction lands
+// on the check right after that deeper hop.  The restarted descent goes
+// down the root's slot 0 again.  Had the bound crossed on level 1 survived
+// the restart, remove's `clean_node` would judge the root's [10, 19] child
+// against 24, bypass it, and strand key 10.
+TEST(ReadRestart, RestartDropsTheBoundCrossedBelowTheRoot) {
+  struct step {
+    bool add;
+    long key;
+    int height;    // add only
+    int evict_at;  // 0: no eviction
+  };
+  constexpr step kSteps[] = {
+      {true, 19, 3, 0},   {false, 13, 0, 2}, {true, 51, 4, 0},
+      {true, 25, 1, 0},   {false, 26, 0, 0}, {true, 10, 3, 0},
+      {false, 25, 0, 0},  {true, 25, 3, 0},  {false, 29, 0, 0},
+      {true, 24, 2, 0},   {false, 26, 0, 8},
+  };
+  reclaim::ebr_domain domain;
+  skip_tree_options o;
+  o.q_log2 = 2;
+  tree_t tree(o, domain);
+  oracle_t oracle;
+  for (const step& s : kSteps) {
+    check_log::evict_at = s.evict_at;
+    check_log::evictions = 0;
+    const entry e{s.key, 0};
+    if (s.add) {
+      ASSERT_EQ(tree.add_with_height(e, s.height), oracle.insert(e).second)
+          << s.key;
+    } else {
+      ASSERT_EQ(tree.remove(e), oracle.erase(e) == 1) << s.key;
+    }
+    ASSERT_EQ(check_log::evictions, s.evict_at > 0 ? 1 : 0) << s.key;
+  }
+  check_log::evict_at = 0;
+  ASSERT_EQ(tree.height(), 4);
+
+  for (const entry& e : oracle) {
+    EXPECT_TRUE(tree.contains(e)) << "key " << e.k << " is unreachable";
+  }
+  std::vector<long> listed;
+  tree.for_each([&](const entry& e) { listed.push_back(e.k); });
+  std::vector<long> want;
+  for (const entry& e : oracle) want.push_back(e.k);
+  EXPECT_EQ(listed, want);
   const auto rep =
       skip_tree_inspector<entry, by_key, evicting_policy>(tree).validate();
   EXPECT_TRUE(rep.ok) << rep.to_string();
