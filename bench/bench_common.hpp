@@ -303,6 +303,7 @@ class telemetry_reporter {
     count("skiptree.ref_repairs", s.ref_repairs);
     count("skiptree.duplicate_drops", s.duplicate_drops);
     count("skiptree.migrations", s.migrations);
+    count("skiptree.leaf_merges", s.leaf_merges);
     count("skiptree.alloc_failures", s.alloc_failures);
     count("skiptree.compactions_skipped", s.compactions_skipped);
   }

@@ -6,6 +6,12 @@
 // the realized average leaf width, node counts per level, tree height, and
 // the resulting memory-per-key -- the structural mechanism behind the
 // Figure 9 locality gap.
+//
+// Those widths hold for trees grown by adds alone.  The churn axis then
+// takes the q = 1/32 tree through k x size random add/remove pairs, for k
+// in {0, 1, 4, 16}, and reports the width the leaves keep: removes thin the
+// leaves, and the leaf merge (detail/compact.hpp) is what holds them near
+// the design width.
 #include <cstdio>
 #include <string>
 
@@ -62,5 +68,52 @@ int main(int argc, char** argv) {
   tab.print();
   std::printf("\nexpected shape: realized average leaf width tracks 1/q; "
               "height shrinks as q falls.\n");
+
+  // Churn axis at the default q = 1/32: n keys from [0, 2n), then pairs of
+  // one add and one remove of keys drawn from the same range.
+  std::printf("\nchurn at q=1/32: k x %zu add/remove pairs over [0, %zu)\n\n",
+              n, 2 * n);
+  lfst::workload::table churn({"k", "keys", "leaf nodes", "avg leaf width",
+                               "level-1 nodes", "dead separators",
+                               "bytes/key"});
+  lfst::skiptree::skip_tree<long> t;
+  lfst::xoshiro256ss rng(0xc4u);
+  const auto draw = [&] { return static_cast<long>(rng.below(2 * n)); };
+  while (t.size() < n) t.add(draw());
+  std::size_t done = 0;
+  for (const std::size_t k : {0u, 1u, 4u, 16u}) {
+    for (; done < k * n; ++done) {
+      t.add(draw());
+      t.remove(draw());
+    }
+    lfst::skiptree::skip_tree_inspector<long> insp(t);
+    const auto rep = insp.validate();
+    if (!rep.ok) {
+      std::printf("INVALID structure after %zu x churn: %s\n", k,
+                  rep.to_string().c_str());
+      return 1;
+    }
+    const double bytes_per_key = static_cast<double>(insp.live_bytes()) /
+                                 static_cast<double>(t.size());
+    const std::size_t level1 =
+        rep.nodes_per_level.size() > 1 ? rep.nodes_per_level[1] : 0;
+    bench_json.record("node_width/churn=" + std::to_string(k), 1,
+                      lfst::summary::of({rep.leaf_keys_mean}),
+                      {{"leaf_nodes",
+                        static_cast<double>(rep.nodes_per_level[0])},
+                       {"level1_nodes", static_cast<double>(level1)},
+                       {"dead_separators",
+                        static_cast<double>(rep.dead_separators)},
+                       {"bytes_per_key", bytes_per_key}});
+    churn.add_row({std::to_string(k), std::to_string(t.size()),
+                   std::to_string(rep.nodes_per_level[0]),
+                   lfst::workload::table::fmt(rep.leaf_keys_mean, 1),
+                   std::to_string(level1),
+                   std::to_string(rep.dead_separators),
+                   lfst::workload::table::fmt(bytes_per_key, 1)});
+  }
+  churn.print();
+  std::printf("\nexpected shape: leaves hold at least 1/(4q) = 8 keys on "
+              "average after any amount of churn.\n");
   return 0;
 }

@@ -53,6 +53,9 @@ struct contents {
   std::uint32_t nkeys; ///< number of finite keys stored
   bool inf;            ///< logical trailing +infinity element present
   bool leaf;           ///< leaf payloads have no child array
+  /// Leaf being merged into its successor (compact.hpp): only the merge's
+  /// last step may replace a frozen payload.  Sits in the header padding.
+  bool frozen;
 
   /// Number of logical elements: finite keys plus the +inf pseudo-element.
   std::uint32_t logical_len() const noexcept {
@@ -122,6 +125,7 @@ struct contents {
     c->nkeys = nkeys;
     c->inf = inf;
     c->leaf = leaf;
+    c->frozen = false;
     return c;
   }
 
@@ -275,6 +279,29 @@ struct contents {
     return c;
   }
 
+  /// Frozen copy of leaf `src` (leaf merge, step 1).
+  template <typename Alloc = lfst::alloc::new_delete_policy>
+  static contents* copy_frozen(const contents& src) {
+    assert(src.leaf);
+    contents* c = copy_with_link<Alloc>(src, src.link);
+    c->frozen = true;
+    return c;
+  }
+
+  /// Copy of leaf `src` with `ks` prepended (leaf merge, step 2).  Every
+  /// key of `ks` must precede every key of `src`.
+  template <typename Alloc = lfst::alloc::new_delete_policy>
+  static contents* copy_leaf_prepend(const contents& src,
+                                     std::span<const T> ks) {
+    assert(src.leaf);
+    const auto n = static_cast<std::uint32_t>(ks.size());
+    contents* c = allocate<Alloc>(n + src.nkeys, src.inf, true, src.link);
+    std::uninitialized_copy(ks.begin(), ks.end(), c->keys());
+    std::uninitialized_copy(src.keys(), src.keys() + src.nkeys,
+                            c->keys() + n);
+    return c;
+  }
+
   /// Copy of `src` with child slot `pos` replaced (empty-child bypass and
   /// suboptimal-reference repair, Fig. 8a/8b).
   template <typename Alloc = lfst::alloc::new_delete_policy>
@@ -376,6 +403,8 @@ struct contents {
     return align_up(keys_offset() + sizeof(T) * nkeys, alignof(node_t*));
   }
 };
+
+static_assert(sizeof(contents<int>) == 16, "a payload header is 16 bytes");
 
 /// A skip-tree node: one atomic payload pointer.  Nodes never move between
 /// levels after creation (Sec. III-A).  `arena_next` threads every node a

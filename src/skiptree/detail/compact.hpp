@@ -15,6 +15,14 @@
 // All repairs are best-effort single CAS attempts: a failure means another
 // thread changed the node, whose own compaction pass will see the fresh
 // state.
+//
+// A fifth transform keeps the leaves at their design width: an under-full
+// leaf behind a dead separator is merged into its successor (clean_node ->
+// merge_leaf) in three CASes -- freeze it, prepend its keys to the first
+// non-empty successor, empty it -- after which 8a and 8c unlink it and drop
+// the separator.  A writer whose CAS target is frozen finishes the merge
+// (help_merge) before it retries.  DESIGN.md Sec. 1.1 "Leaf merge" has the
+// argument that (D1)-(D5) hold in every intermediate state.
 #pragma once
 
 #include <atomic>
@@ -40,8 +48,9 @@ struct compact_ops {
   /// bypassing empty successors at every link it crosses (`clean_link`),
   /// then CAS `v` out of its leaf.  Returns false iff `v` was absent.  OOM
   /// contract: compaction failures along the way are skipped (compaction is
-  /// optional optimality repair); only the leaf-erase allocation itself can
-  /// make the call fail, and then the set is unchanged (strong guarantee).
+  /// optional optimality repair); only the leaf-erase allocation, or
+  /// finishing a merge of the leaf holding `v`, can make the call fail, and
+  /// then the set is unchanged (strong guarantee).
   template <typename Guard>
   static bool remove(Core& core, const T& v, Guard& g) {
     struct cleanup {
@@ -71,6 +80,10 @@ struct compact_ops {
       }
       contents_t* repl;
       try {
+        if (s.cts->frozen) {
+          help_and_move(core, s, v);
+          continue;
+        }
         repl = contents_t::template copy_leaf_erase<Alloc>(
             *s.cts, static_cast<std::uint32_t>(s.index));
       } catch (const std::bad_alloc&) {
@@ -99,19 +112,17 @@ struct compact_ops {
       assert(next != nullptr);
       contents_t* ncts = Core::load_payload(next);
       if (!ncts->empty()) return next;
+      // Only the merge may replace a frozen payload: step over the empty
+      // nodes the wait-free way (exactly what readers do).
+      if (cts->frozen) return first_nonempty(next);
       contents_t* repl;
       try {
         repl = contents_t::template copy_with_link<Alloc>(*cts, ncts->link);
       } catch (const std::bad_alloc&) {
-        // Can't afford the repair: step over empty nodes the wait-free way
-        // (exactly what readers do) and leave the bypass to a later pass.
+        // Can't afford the repair: step over the empty nodes and leave the
+        // bypass to a later pass.
         core.bump(tree_counter::compactions_skipped);
-        for (;;) {
-          if (!ncts->empty()) return next;
-          next = ncts->link;
-          assert(next != nullptr);
-          ncts = Core::load_payload(next);
-        }
+        return first_nonempty(next);
       }
       LFST_FP_POINT("skiptree.compact.8a");
       if (core.cas_payload(nd, cts, repl)) {
@@ -203,10 +214,34 @@ struct compact_ops {
       }
     }
 
+    // Leaf merge: an under-full leaf whose separator is dead (its maximum
+    // is below keys[idx]) moves its keys into its successor and empties
+    // out.  A child already frozen is helped to the end instead.
+    if (ccts->leaf) {
+      const std::uint32_t min_keys =
+          (std::uint32_t{1} << core.opts.q_log2) / 4;  // 1/(4q)
+      if (ccts->frozen) {
+        try {
+          help_merge(core, child, ccts);
+        } catch (const std::bad_alloc&) {
+          core.bump(tree_counter::compactions_skipped);
+        }
+      } else if (ccts->nkeys > 0 && ccts->nkeys < min_keys && !ccts->inf &&
+                 ccts->link != nullptr && idx < cts->nkeys &&
+                 core.cmp(ccts->max_key(), cts->keys()[idx]) &&
+                 merge_leaf(core, child, ccts) && idx > 0) {
+        // (8a) at the leaf level: the previous slot's leaf most likely
+        // links to the leaf just emptied.
+        node_t* prev = cts->children()[idx - 1];
+        clean_link(core, prev, Core::load_payload(prev));
+      }
+      return;
+    }
+
     // (8d) element migration: a routing child with a single element (or a
     // two-element child whose references coincide, which 8c cannot touch)
     // moves its rightmost element to its successor and empties out.
-    if (!ccts->leaf && ccts->link != nullptr && !ccts->inf) {
+    if (ccts->link != nullptr && !ccts->inf) {
       if (ccts->logical_len() == 1) {
         migrate_element(core, child, ccts, 0);
       } else if (ccts->logical_len() == 2 && ccts->nkeys == 2 &&
@@ -262,6 +297,94 @@ struct compact_ops {
     } else {
       Core::destroy(shrunk);
     }
+  }
+
+  /// Leaf merge, step 1: freeze leaf `nd` (payload `cts`), then run steps
+  /// 2 and 3 through help_merge.  Returns true once `nd` is empty.
+  /// Best-effort like 8a-8d: a lost freeze CAS abandons the merge, and a
+  /// bad_alloc leaves a valid tree -- after the freeze, one whose next
+  /// writer at `nd` finishes the merge.
+  static bool merge_leaf(Core& core, node_t* nd, contents_t* cts) {
+    contents_t* frozen;
+    try {
+      LFST_FP_ALLOC("skiptree.merge.freeze");
+      frozen = contents_t::template copy_frozen<Alloc>(*cts);
+    } catch (const std::bad_alloc&) {
+      core.bump(tree_counter::compactions_skipped);
+      return false;
+    }
+    if (!core.cas_payload(nd, cts, frozen)) {
+      Core::destroy(frozen);
+      return false;
+    }
+    core.retire(cts);
+    try {
+      help_merge(core, nd, frozen);
+    } catch (const std::bad_alloc&) {
+      core.bump(tree_counter::compactions_skipped);
+      return false;
+    }
+    return true;
+  }
+
+  /// Leaf merge, steps 2 and 3: bring frozen leaf `nd` (payload `f`) to
+  /// an empty leaf linked to the node holding `f`'s keys.  Returns once
+  /// `nd` no longer holds `f`; throws bad_alloc with the tree valid and the
+  /// merge where it was.  Step 2 runs at most once: it prepends only when
+  /// the successor snapshot holds no key <= max(f) and `nd` still holds `f`
+  /// after that snapshot was read (DESIGN.md Sec. 1.1 "Leaf merge").
+  static void help_merge(Core& core, node_t* nd, contents_t* f) {
+    assert(f->frozen && f->nkeys > 0 && f->link != nullptr);
+    while (Core::load_payload(nd) == f) {
+      node_t* succ = first_nonempty(f->link);
+      contents_t* scts = Core::load_payload(succ);
+      if (scts->empty()) continue;  // emptied since: look again
+      if (scts->frozen) {
+        help_merge(core, succ, scts);  // recursion only moves right
+        continue;
+      }
+      if (Core::load_payload(nd) != f) return;  // another helper finished
+      const bool copied =
+          scts->nkeys > 0 && !core.cmp(f->max_key(), scts->keys()[0]);
+      if (!copied) {
+        LFST_FP_ALLOC("skiptree.merge.copy");
+        contents_t* grown = contents_t::template copy_leaf_prepend<Alloc>(
+            *scts, f->key_span());
+        if (!core.cas_payload(succ, scts, grown)) {
+          Core::destroy(grown);
+          continue;
+        }
+        core.retire(scts);
+      }
+      LFST_FP_ALLOC("skiptree.merge.empty");
+      contents_t* emptied = contents_t::template make_leaf<Alloc>(
+          std::span<const T>{}, /*inf=*/false, succ);
+      contents_t* expected = f;
+      if (core.cas_payload(nd, expected, emptied)) {
+        core.retire(f);
+        core.bump(tree_counter::leaf_merges);
+        return;
+      }
+      Core::destroy(emptied);
+    }
+  }
+
+  /// A writer's CAS target `s` is frozen: finish the merge, then re-locate
+  /// `v` from the (now empty) leaf.  Throws bad_alloc with the set
+  /// unchanged.
+  static void help_and_move(Core& core, search& s, const T& v) {
+    help_merge(core, s.node, s.cts);
+    s = core.move_forward(s.node, v);
+  }
+
+  /// `nd` or the first node after it on its level that is not empty.
+  static node_t* first_nonempty(node_t* nd) {
+    for (contents_t* c = Core::load_payload(nd); c->empty();
+         c = Core::load_payload(nd)) {
+      nd = c->link;
+      assert(nd != nullptr);
+    }
+    return nd;
   }
 };
 

@@ -7,8 +7,8 @@
 //   detail/traverse.hpp   -- the one descent, wait-free for reads
 //                                                          (Fig. 4)
 //   detail/insert.hpp     -- insert / split / root growth  (Fig. 5)
-//   detail/compact.hpp    -- remove + the four compaction transforms
-//                                                          (Fig. 6 / Fig. 8)
+//   detail/compact.hpp    -- remove + the compaction transforms
+//                                                (Fig. 6 / Fig. 8, leaf merge)
 //   detail/bulk_load.hpp  -- optimal bottom-up construction
 //   detail/iterate.hpp    -- leaf-level streaming and iterators
 //   skip_tree.hpp         -- the public facade over all of the above
@@ -59,6 +59,7 @@ enum class tree_counter : std::uint16_t {
   ref_repairs,
   duplicate_drops,
   migrations,
+  leaf_merges,          ///< under-full leaves merged into their successor
   alloc_failures,       ///< bad_alloc seen by a mutation
   compactions_skipped,  ///< repairs abandoned under OOM
   kCount
@@ -69,7 +70,8 @@ constexpr std::string_view tree_counter_name(tree_counter c) noexcept {
   constexpr std::string_view names[] = {
       "cas_failures",    "splits",          "root_raises",
       "empty_bypasses",  "ref_repairs",     "duplicate_drops",
-      "migrations",      "alloc_failures",  "compactions_skipped",
+      "migrations",      "leaf_merges",     "alloc_failures",
+      "compactions_skipped",
   };
   static_assert(sizeof(names) / sizeof(names[0]) ==
                 static_cast<std::size_t>(tree_counter::kCount));
@@ -83,8 +85,9 @@ struct skip_tree_options {
   int q_log2 = 5;           ///< q = 2^-q_log2; paper default q = 1/32
   int max_height = 24;      ///< cap on element heights (levels 0..max_height)
   /// Ablation hook: false turns off `clean_node`, remove's repairs of the
-  /// routing nodes it descends through (Fig. 8).  `clean_link`, the bypass
-  /// of empty successors at each link remove crosses, stays on.
+  /// routing nodes it descends through (Fig. 8) and its leaf merges.
+  /// `clean_link`, the bypass of empty successors at each link remove
+  /// crosses, stays on.
   bool compaction = true;
 };
 

@@ -11,6 +11,9 @@
 //
 // replace() is the primitive behind the map layer's assign: same position,
 // new payload, linearized at the leaf CAS.
+//
+// A leaf CAS target may be frozen by a leaf merge (detail/compact.hpp);
+// every loop below then helps the merge finish and re-locates its key.
 #pragma once
 
 #include <algorithm>
@@ -21,6 +24,7 @@
 #include <span>
 
 #include "common/backoff.hpp"
+#include "skiptree/detail/compact.hpp"
 #include "skiptree/detail/core.hpp"
 #include "skiptree/detail/traverse.hpp"
 
@@ -35,6 +39,7 @@ struct insert_ops {
   using node_t = typename Core::node_t;
   using head_t = typename Core::head_t;
   using search = typename Core::search;
+  using compact = compact_ops<Core>;
 
   /// add(): grow the root to `height`, descend through `locate`
   /// recording the node where `v` belongs at every level up to `height`
@@ -138,6 +143,10 @@ struct insert_ops {
       if (s.index >= 0) {
         return false;  // already present at this level
       }
+      if (s.cts->frozen) {
+        compact::help_and_move(core, s, v);
+        continue;
+      }
       const std::uint32_t pos = Core::descend_index(s.index);
       contents_t* repl =
           level == 0
@@ -168,6 +177,10 @@ struct insert_ops {
     backoff bo;
     for (;;) {
       if (s.index < 0) return nullptr;  // v was removed concurrently
+      if (s.cts->frozen) {
+        compact::help_and_move(core, s, v);
+        continue;
+      }
       const std::uint32_t pos = static_cast<std::uint32_t>(s.index);
       const contents_t& cts = *s.cts;
       if (pos + 1 == cts.nkeys && !cts.inf && cts.link == nullptr) {
@@ -219,6 +232,10 @@ struct insert_ops {
       if (s.index < 0) return false;
       contents_t* repl;
       try {
+        if (s.cts->frozen) {
+          compact::help_and_move(core, s, v);
+          continue;
+        }
         repl = contents_t::template copy_leaf_assign<Alloc>(
             *s.cts, static_cast<std::uint32_t>(s.index), v);
       } catch (const std::bad_alloc&) {

@@ -10,8 +10,9 @@
 //  * contains  (Fig. 4)  detail/traverse.hpp  -- the one descent every
 //                                               operation goes through.
 //  * add       (Fig. 5)  detail/insert.hpp    -- insert, split, root growth.
-//  * remove    (Fig. 6)  detail/compact.hpp   -- removal + the four online
-//                                               compaction transforms (Fig. 8).
+//  * remove    (Fig. 6)  detail/compact.hpp   -- removal + the online
+//                                               compaction transforms (Fig. 8)
+//                                               and the leaf merge.
 //  * from_sorted         detail/bulk_load.hpp -- optimal bottom-up build.
 //  * iteration           detail/iterate.hpp   -- leaf-level streaming.
 //  * shared state        detail/core.hpp      -- members, lifecycle,
@@ -246,6 +247,7 @@ class skip_tree {
     std::uint64_t ref_repairs = 0;
     std::uint64_t duplicate_drops = 0;
     std::uint64_t migrations = 0;
+    std::uint64_t leaf_merges = 0;
     std::uint64_t alloc_failures = 0;      ///< bad_alloc seen by a mutation
     std::uint64_t compactions_skipped = 0; ///< repairs abandoned under OOM
     // Reclamation footprint of the tree's domain (shared across structures
@@ -269,7 +271,7 @@ class skip_tree {
 
   structural_stats stats() const noexcept {
     const auto c = core_.counters.snapshot();
-    static_assert(c.size() == 9,
+    static_assert(c.size() == 10,
                   "structural_stats must mirror tree_counter exactly");
     structural_stats out{
         c[static_cast<std::size_t>(tree_counter::cas_failures)],
@@ -279,6 +281,7 @@ class skip_tree {
         c[static_cast<std::size_t>(tree_counter::ref_repairs)],
         c[static_cast<std::size_t>(tree_counter::duplicate_drops)],
         c[static_cast<std::size_t>(tree_counter::migrations)],
+        c[static_cast<std::size_t>(tree_counter::leaf_merges)],
         c[static_cast<std::size_t>(tree_counter::alloc_failures)],
         c[static_cast<std::size_t>(tree_counter::compactions_skipped)]};
     if constexpr (requires { core_.domain.stats(); }) {

@@ -5,24 +5,28 @@
 // sortedness from them.  The inspector below checks, on a quiescent tree:
 //
 //   (D1) every level ends with exactly one +inf element, in its last node;
-//   (D2) the leaf level holds no duplicate elements (strictly increasing);
+//   (D2) the leaf level holds no duplicate elements (strictly increasing),
+//        once the keys of each frozen leaf (an in-flight leaf merge) are
+//        dropped from the head of its first non-empty successor;
 //   (T1) every level is non-decreasing;
 //   (D3) implied by sortedness + the single +inf terminator;
 //   (D4) child references never point past the first lower-level node that
 //        can hold a key in their interval (the "target in tail(source)"
 //        reachability requirement) -- checked via position monotonicity;
 //   plus bookkeeping: the last node of each level has a null link, interior
-//   nodes do not, child arrays have logical_len entries, and the size
-//   counter matches the leaf population.
+//   nodes do not, child arrays have logical_len entries, only non-empty,
+//   linked, finite leaves are frozen, and the size counter matches the leaf
+//   population (a frozen leaf's copies counted once).
 //
 // The inspector also takes an optimality census (empty nodes, suboptimal
 // references, duplicate adjacent references) used by the compaction tests:
 // the paper's claim is not that these never occur -- mutations create them
 // deliberately -- but that online compaction drives them back down.  The
-// census also measures the shape churn leaves behind, which no transform
-// repairs: dead separators (level-1 keys whose leaf copy was removed), the
-// mean leaf width, and node headers allocated against headers still
-// reachable (the arena frees the difference only with the tree).
+// census also measures the shape churn leaves behind: dead separators
+// (level-1 keys whose leaf copy was removed), the mean leaf width (both of
+// which leaf merges hold down), frozen leaves (merges a bad_alloc left in
+// flight), and node headers allocated against headers still reachable (the
+// arena frees the difference only with the tree).
 //
 // Quiescence is the caller's contract: validation walks raw pointers with
 // no protection against concurrent mutation.
@@ -52,7 +56,8 @@ struct validation_report {
   std::size_t duplicate_ref_pairs = 0;
   std::vector<std::size_t> nodes_per_level;  // index = level
   std::size_t dead_separators = 0;  ///< level-1 keys with no leaf copy
-  double leaf_keys_mean = 0.0;      ///< leaf keys per leaf node
+  double leaf_keys_mean = 0.0;      ///< distinct leaf keys per leaf node
+  std::size_t frozen_leaves = 0;    ///< leaves with a merge in flight
   /// Distinct node headers reachable from the top head over links and
   /// child references (bypassed nodes still referenced count too).
   std::size_t headers_reachable = 0;
@@ -76,7 +81,8 @@ struct validation_report {
        << empty_nodes << " empty, " << suboptimal_refs << " suboptimal refs, "
        << duplicate_ref_pairs << " duplicate ref pairs, " << dead_separators
        << " dead separators, " << leaf_keys_mean << " keys per leaf, "
-       << headers_reachable << " headers reachable";
+       << frozen_leaves << " frozen leaves, " << headers_reachable
+       << " headers reachable";
     if (headers_allocated != 0) os << " of " << headers_allocated;
     for (const std::string& e : errors) os << "\n  error: " << e;
     if (!metrics_text.empty()) os << "\n  metrics: " << metrics_text;
@@ -96,10 +102,14 @@ class skip_tree_inspector {
 
   explicit skip_tree_inspector(const tree_t& tree) : tree_(tree) {}
 
-  /// All finite keys at `level`, concatenated in chain order.
+  /// All finite keys at `level`, concatenated in chain order.  At the leaf
+  /// level a merge in flight shows its keys twice; `leaf_set` does not.
   std::vector<T> level_keys(int level) const {
     return keys_of(level_chain(level));
   }
+
+  /// The set the leaf level holds: its keys in order, each once.
+  std::vector<T> leaf_set() const { return distinct_keys(level_chain(0)); }
 
   /// Node count at `level`.
   std::size_t level_width(int level) const {
@@ -126,7 +136,7 @@ class skip_tree_inspector {
     rep.headers_allocated =
         tree_.core_.arena_len.load(std::memory_order_relaxed);
     // Leaf population vs the size counter (exact when quiescent).
-    const std::vector<T> leaf = level_keys(0);
+    const std::vector<T> leaf = leaf_set();
     if (leaf.size() != tree_.size()) {
       rep.fail("size() = " + std::to_string(tree_.size()) +
                " but leaf level holds " + std::to_string(leaf.size()) +
@@ -220,13 +230,26 @@ class skip_tree_inspector {
     return seen.size();
   }
 
+  /// A level's keys in chain order, skipping every key not greater than
+  /// the one before it: at the leaf level those are the copies an in-flight
+  /// merge put at the head of a frozen leaf's successor (check_level_shape
+  /// rejects any other).
+  static std::vector<T> distinct_keys(const std::vector<const node_t*>& chain) {
+    Compare cmp{};
+    std::vector<T> out;
+    for (const T& k : keys_of(chain)) {
+      if (out.empty() || cmp(out.back(), k)) out.push_back(k);
+    }
+    return out;
+  }
+
   /// Leaf width and dead separators: a level-1 key whose leaf copy was
   /// removed still routes searches but no longer names a leaf key.
   static void census_leaves(validation_report& rep,
                             const std::vector<const node_t*>& leaves,
                             const std::vector<T>& separators) {
     Compare cmp{};
-    const std::vector<T> keys = keys_of(leaves);
+    const std::vector<T> keys = distinct_keys(leaves);
     rep.leaf_keys_mean =
         static_cast<double>(keys.size()) / static_cast<double>(leaves.size());
     for (const T& k : separators) {
@@ -305,13 +328,34 @@ class skip_tree_inspector {
     bool have_prev = false;
     T prev{};
     std::size_t inf_count = 0;
+    // The last non-empty payload before this one on the level.
+    const contents_t* before = nullptr;
     for (std::size_t pos = 0; pos < chain.size(); ++pos) {
       const contents_t* c = payload(chain[pos]);
       if (c->leaf != (level == 0)) {
         rep.fail("node at level " + std::to_string(level) +
                  " has mismatched leaf flag");
       }
+      if (c->frozen) {
+        ++rep.frozen_leaves;
+        if (!c->leaf || c->nkeys == 0 || c->inf || c->link == nullptr) {
+          rep.fail("frozen payload at level " + std::to_string(level) +
+                   " is not a non-empty, linked, finite leaf");
+        }
+      }
       if (c->empty()) ++rep.empty_nodes;
+      // (D2) for a merge in flight: a frozen leaf's keys may head its first
+      // non-empty successor, and are then checked once, there.
+      std::uint32_t first = 0;
+      if (level == 0 && before != nullptr && before->frozen &&
+          c->nkeys >= before->nkeys &&
+          std::equal(before->keys(), before->keys() + before->nkeys,
+                     c->keys(), [&](const T& a, const T& b) {
+                       return !cmp(a, b) && !cmp(b, a);
+                     })) {
+        first = before->nkeys;
+      }
+      if (!c->empty()) before = c;
       if (c->inf) {
         ++inf_count;
         if (pos + 1 != chain.size()) {
@@ -323,7 +367,7 @@ class skip_tree_inspector {
         rep.fail("link nullity does not match chain position at level " +
                  std::to_string(level));
       }
-      for (std::uint32_t k = 0; k < c->nkeys; ++k) {
+      for (std::uint32_t k = first; k < c->nkeys; ++k) {
         const T& key = c->keys()[k];
         if (have_prev) {
           if (cmp(key, prev)) {
@@ -361,11 +405,17 @@ class skip_tree_inspector {
     for (const node_t* n : lower) pos[n] = next_pos++;
 
     // first_pos_greater(A): chain position of the first lower node holding
-    // a key > A; the +inf terminator node if none.
+    // a key > A; the +inf terminator node if none.  A key below the one
+    // before it (a merge's copy at the leaf level) is left out: its
+    // original sits further left.
     std::vector<std::pair<T, long>> lower_keys;
     for (const node_t* n : lower) {
       const contents_t* c = payload(n);
       for (std::uint32_t k = 0; k < c->nkeys; ++k) {
+        if (!lower_keys.empty() &&
+            cmp(c->keys()[k], lower_keys.back().first)) {
+          continue;
+        }
         lower_keys.emplace_back(c->keys()[k], pos[n]);
       }
     }

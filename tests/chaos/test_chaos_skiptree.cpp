@@ -11,7 +11,11 @@
 //                   that are too narrow to hit naturally;
 //   CAS-SPURIOUS -- forced spurious payload-CAS failures, driving every
 //                   retry loop through its recovery path;
-//   COMBINED     -- all three at once.
+//   COMBINED     -- all three at once;
+//   MERGE        -- yields, or bad_alloc, at the three steps of the leaf
+//                   merge (freeze, copy, empty) on a prefilled tree whose
+//                   churn thins the leaves, so merges stop half-done and
+//                   other writers meet frozen leaves and finish them.
 //
 // Correctness oracle: keys are partitioned by owner thread (key k belongs
 // to thread k % nthreads), so each thread's std::set mirror is exact ground
@@ -69,12 +73,20 @@ const char* const kAllocSites[] = {
     "alloc.pool.allocate", "alloc.pool.refill", "alloc.pool.chunk",
     "alloc.new_delete",
     "skiptree.alloc.contents", "skiptree.alloc.node",
+    "skiptree.merge.freeze", "skiptree.merge.copy", "skiptree.merge.empty",
+};
+
+// The leaf merge's steps: each is an allocation site, so a `fail` policy
+// throws there and a `yield` policy delays between two of the merge's CASes.
+const char* const kMergeSites[] = {
+    "skiptree.merge.freeze", "skiptree.merge.copy", "skiptree.merge.empty",
 };
 
 const char* const kDelaySites[] = {
     "skiptree.insert.publish", "skiptree.split.publish",
     "skiptree.root.raise", "skiptree.compact.8a", "skiptree.compact.8b",
     "skiptree.compact.8c", "skiptree.compact.8d", "skiptree.traverse.step",
+    "skiptree.merge.freeze", "skiptree.merge.copy", "skiptree.merge.empty",
     "ebr.pin", "ebr.retire", "ebr.advance",
 };
 
@@ -83,6 +95,9 @@ struct schedule {
   bool oom;
   bool delay;
   bool cas_spurious;
+  /// Action armed at the merge steps alone; the tree is then prefilled
+  /// with every key so that the churn thins full leaves.
+  action merge = action::off;
 };
 
 void arm(const schedule& s) {
@@ -105,6 +120,18 @@ void arm(const schedule& s) {
         "skiptree.cas.payload",
         policy{.act = action::fail, .probability = 0.05});
   }
+  if (s.merge != action::off) {
+    for (const char* site : kMergeSites) {
+      registry::instance().configure(
+          site, policy{.act = s.merge, .probability = 0.3, .delay_iters = 16});
+    }
+  }
+}
+
+std::uint64_t merge_site_fires() {
+  std::uint64_t n = 0;
+  for (const char* site : kMergeSites) n += registry::instance().fires(site);
+  return n;
 }
 
 std::uint64_t total_fires() {
@@ -121,9 +148,15 @@ void run_schedule(const schedule& sched) {
   SCOPED_TRACE(sched.name);
   reclaim::ebr_domain domain;  // declared before the tree: outlives it
   skip_tree<int> tree(skip_tree_options{}, domain);
+  std::vector<std::set<int>> mirrors(kThreads);
+  if (sched.merge != action::off) {
+    for (int key = 0; key < kKeyRange; ++key) {
+      ASSERT_TRUE(tree.add(key));
+      mirrors[static_cast<std::size_t>(key % kThreads)].insert(key);
+    }
+  }
   arm(sched);
 
-  std::vector<std::set<int>> mirrors(kThreads);
   std::atomic<std::uint64_t> thrown{0};
   const int iters = iterations();
 
@@ -179,6 +212,7 @@ void run_schedule(const schedule& sched) {
   health.probe_now();  // one post-churn sample: the residual (lazy) backlog
 
   const std::uint64_t fires = total_fires();
+  const std::uint64_t merge_fires = merge_site_fires();
   registry::instance().reset_all();  // quiescent, fault-free verification
 
   // Churn-time samples are a statistical glimpse: compaction usually keeps
@@ -226,6 +260,10 @@ void run_schedule(const schedule& sched) {
         << "OOM schedule injected no observable bad_alloc";
     const auto stats = tree.stats();
     EXPECT_GT(stats.alloc_failures + stats.compactions_skipped, 0u);
+  }
+  if (sched.merge != action::off) {
+    EXPECT_GT(merge_fires, 0u) << "no leaf merge reached an armed step";
+    EXPECT_GT(tree.stats().leaf_merges, 0u);
   }
 
   // Deterministic backlog witness: with compaction allocations failing,
@@ -275,6 +313,14 @@ TEST(ChaosSkipTree, CasSpuriousSchedule) {
 
 TEST(ChaosSkipTree, CombinedSchedule) {
   run_schedule({"combined", true, true, true});
+}
+
+TEST(ChaosSkipTree, MergeDelaySchedule) {
+  run_schedule({"merge-delay", false, false, false, action::yield});
+}
+
+TEST(ChaosSkipTree, MergeOomSchedule) {
+  run_schedule({"merge-oom", false, false, false, action::fail});
 }
 
 // Deterministic single-thread OOM: fail the very first contents allocation

@@ -71,6 +71,46 @@ TEST(ValidatorNegative, FlagsDuplicateLeafKeys) {
   EXPECT_FALSE(rep.ok);
 }
 
+/// Two leaves under one routing node: {10, 20} (frozen if asked), then
+/// `right_keys` with +inf.  The frozen leaf is a leaf merge between its
+/// copy step and its empty step when `right_keys` starts with 10, 20.
+validation_report two_leaves(const std::vector<int>& right_keys,
+                             bool frozen) {
+  builder b;
+  N* right = b.node(C::make_leaf(right_keys, /*inf=*/true, nullptr));
+  const int left_keys[] = {10, 20};
+  C* lc = C::make_leaf(left_keys, /*inf=*/false, right);
+  lc->frozen = frozen;
+  N* left = b.node(lc);
+  const int root_keys[] = {20};
+  N* children[] = {left, right};
+  N* root = b.node(C::make_routing(root_keys, children, /*inf=*/true, nullptr));
+  return inspector::validate_raw(root, 1);
+}
+
+TEST(ValidatorNegative, FrozenLeafKeysMayHeadItsSuccessorOnlyWhole) {
+  const validation_report copied = two_leaves({10, 20, 30}, true);
+  EXPECT_TRUE(copied.ok) << copied.to_string();
+  EXPECT_EQ(copied.frozen_leaves, 1u);
+  EXPECT_DOUBLE_EQ(copied.leaf_keys_mean, 1.5) << "the copies count once";
+  const validation_report not_yet = two_leaves({30}, true);
+  EXPECT_TRUE(not_yet.ok) << not_yet.to_string();
+  EXPECT_EQ(not_yet.frozen_leaves, 1u);
+
+  EXPECT_FALSE(two_leaves({10, 20, 30}, false).ok)
+      << "duplicates behind a leaf that is not frozen violate D2";
+  EXPECT_FALSE(two_leaves({20, 30}, true).ok)
+      << "a partial copy is not a merge step";
+}
+
+TEST(ValidatorNegative, FlagsFrozenTerminatorLeaf) {
+  builder b;
+  C* c = C::make_leaf(std::vector<int>{1, 2}, /*inf=*/true, nullptr);
+  c->frozen = true;  // the +inf leaf never merges
+  auto rep = inspector::validate_raw(b.node(c), 0);
+  EXPECT_FALSE(rep.ok);
+}
+
 TEST(ValidatorNegative, FlagsMissingInfinity) {
   builder b;
   const int ks[] = {1, 2};
