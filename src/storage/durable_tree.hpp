@@ -22,9 +22,15 @@
 // Effect-less mutations (add of a present key, remove of an absent one)
 // log nothing and return immediately -- they cannot change recovered state.
 //
+// Under `interval` and `none` a commit is the WAL append alone: the
+// record waits in the writer's own slot until the flusher's next poll
+// (wal_options::flusher_poll), and no writer wakes the flusher.  Under
+// `every_commit` the commit's wait_durable wakes it.
+//
 // Checkpointing is automatic (a background thread watches bytes_appended
 // against options().checkpoint_bytes and calls write_checkpoint) or manual
-// via checkpoint().  Construction IS recovery: the constructor loads the
+// via checkpoint(); both may run at once, serialized by cp_mu_.
+// Construction IS recovery: the constructor loads the
 // newest valid checkpoint, replays the WAL tail, bulk-builds the tree from
 // the recovered keys, and reopens the WAL at last_lsn + 1.
 #pragma once
@@ -77,7 +83,6 @@ class durable_tree {
     tree_.emplace(
         tree_type::from_sorted(std::span<const T>(rec.keys), opts_.tree));
     wal_.emplace(std::move(dir), rec.last_lsn + 1, opts_.wal);
-    base_bytes_ = 0;
     if (opts_.checkpoint_bytes > 0) {
       checkpointer_ = std::thread([this] { checkpointer_main(); });
     }
@@ -126,7 +131,7 @@ class durable_tree {
     std::lock_guard<std::mutex> g(cp_mu_);
     auto r = write_checkpoint<T>(*tree_, opts_.tree.q_log2, *wal_,
                                  opts_.checkpoint_keep);
-    base_bytes_ = wal_->bytes_appended();
+    base_bytes_.store(wal_->bytes_appended(), std::memory_order_relaxed);
     return r;
   }
 
@@ -186,7 +191,9 @@ class durable_tree {
         });
       }
       if (closing_.load(std::memory_order_acquire)) return;
-      if (wal_->bytes_appended() - base_bytes_ >= opts_.checkpoint_bytes) {
+      if (wal_->bytes_appended() -
+              base_bytes_.load(std::memory_order_relaxed) >=
+          opts_.checkpoint_bytes) {
         checkpoint();
       }
     }
@@ -198,7 +205,10 @@ class durable_tree {
   rec_stats recovered_;
 
   std::mutex cp_mu_;
-  std::uint64_t base_bytes_ = 0;
+  // WAL bytes at the last checkpoint.  Written under cp_mu_ by whichever
+  // thread checkpoints; the checkpointer reads it without the lock, so it
+  // is atomic (relaxed: it only paces the next checkpoint).
+  std::atomic<std::uint64_t> base_bytes_{0};
 
   std::atomic<bool> closing_{false};
   std::mutex cp_wake_mu_;

@@ -9,13 +9,19 @@
 //      per slot, contended only with the flusher, never with other
 //      appenders),
 //   2. takes a global LSN with one uncontended fetch_add, and
-//   3. either returns immediately (fsync policies `interval` / `none`) or
-//      parks on the commit condvar until the flusher reports its LSN
-//      durable (`every_commit` -- the classic group commit: many waiters
-//      amortize one fsync).
+//   3. returns.  An append touches no shared flag, condvar or mutex
+//      beyond its own slot.  Under `every_commit` the caller then parks in
+//      wait_durable, which asks the flusher for its LSN and sleeps on the
+//      commit condvar until the flusher reports it durable (the classic
+//      group commit: many waiters amortize one fsync).
 //
 // A single background flusher drains every slot, merges records into LSN
-// order, and appends them to the active segment file.  The file therefore
+// order, and appends them to the active segment file.  Only a caller about
+// to block on the flusher wakes it: wait_durable (under `every_commit`)
+// and close().  flush() and rotate() drain by themselves under io_mu_.
+// Otherwise the flusher sleeps for `flusher_poll` between passes, so that
+// ceiling bounds how long an `interval` / `none` record sits in its slot
+// before it reaches the segment's stdio buffer.  The file therefore
 // carries records in strictly contiguous LSN order, which is what makes
 // torn-tail recovery unambiguous: replay walks records until the first
 // short read, bad CRC, or LSN discontinuity, and everything before that
@@ -103,7 +109,8 @@ enum class wal_op : std::uint8_t { add = 1, remove = 2, put = 3 };
 struct wal_options {
   fsync_policy sync = fsync_policy::every_commit;
   std::chrono::microseconds sync_interval{5000};  ///< for fsync_policy::interval
-  std::chrono::microseconds flusher_poll{200};    ///< flusher wakeup ceiling
+  /// Flusher pass period when no every_commit waiter asks sooner.
+  std::chrono::microseconds flusher_poll{200};
 };
 
 // --- on-disk constants -------------------------------------------------------
@@ -210,8 +217,9 @@ class wal {
 
   ~wal() { close(); }
 
-  /// Enqueue one record; returns its LSN.  Never blocks on I/O (the commit
-  /// wait, if any, is the caller's explicit `wait_durable`).
+  /// Enqueue one record; returns its LSN.  Never blocks on I/O and never
+  /// wakes the flusher (the commit wait, if any, is the caller's explicit
+  /// `wait_durable`).
   lsn_t append(wal_op op, const void* payload, std::size_t len) {
     if (len > kMaxRecordPayload) {
       throw std::invalid_argument("wal::append: payload too large");
@@ -222,26 +230,37 @@ class wal {
     // LSN exists its record must become visible to the flusher, or the
     // contiguous-prefix invariant would park the log forever.
     pending_record rec(static_cast<std::uint32_t>(len));
-    {
-      std::lock_guard<std::mutex> lk(s.mu);
-      s.recs.reserve(s.recs.size() + 1);
-      const lsn_t lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
-      rec.encode(lsn, op, payload);
-      s.recs.push_back(std::move(rec));  // noexcept: reserved + move
-      appends_.fetch_add(1, std::memory_order_relaxed);
-      bytes_appended_.fetch_add(kRecordHeaderBytes + len,
-                                std::memory_order_relaxed);
-      work_pending_.store(true, std::memory_order_release);
-      wake_flusher();
-      return lsn;
+    std::lock_guard<std::mutex> lk(s.mu);
+    // Grow geometrically: a slot holds a flusher pass's worth of records
+    // (more while an fsync holds io_mu_), and an exact reserve would move
+    // them all on every append.
+    if (s.recs.size() == s.recs.capacity()) {
+      s.recs.reserve(std::max<std::size_t>(16, 2 * s.recs.capacity()));
     }
+    const lsn_t lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
+    rec.encode(lsn, op, payload);
+    s.recs.push_back(std::move(rec));  // noexcept: reserved + move
+    appends_.fetch_add(1, std::memory_order_relaxed);
+    bytes_appended_.fetch_add(kRecordHeaderBytes + len,
+                              std::memory_order_relaxed);
+    return lsn;
   }
 
   /// Block until `lsn` is durable (written + fsynced).  LSN 0 returns
-  /// immediately.
+  /// immediately.  Under `every_commit` this wakes the flusher; under
+  /// `interval` the LSN hardens at the next interval fsync, and under
+  /// `none` only flush(), rotate() or close() harden it.
   void wait_durable(lsn_t lsn) {
     if (lsn == 0 || durable_lsn_.load(std::memory_order_acquire) >= lsn) {
       return;
+    }
+    if (opts_.sync == fsync_policy::every_commit) {
+      lsn_t asked = asked_lsn_.load(std::memory_order_relaxed);
+      while (asked < lsn && !asked_lsn_.compare_exchange_weak(
+                                asked, lsn, std::memory_order_release,
+                                std::memory_order_relaxed)) {
+      }
+      wake_flusher();
     }
     std::unique_lock<std::mutex> lk(commit_mu_);
     commit_cv_.wait(lk, [&] {
@@ -408,27 +427,37 @@ class wal {
     flusher_cv_.notify_one();
   }
 
+  /// The highest LSN a waiter asked for, capped at the assigned ones (an
+  /// LSN nobody was granted can never harden, so it must not keep the
+  /// flusher spinning).
+  lsn_t asked_lsn() const noexcept {
+    return std::min(asked_lsn_.load(std::memory_order_acquire),
+                    last_assigned());
+  }
+
   void flusher_main() {
     for (;;) {
       {
         std::unique_lock<std::mutex> lk(flusher_mu_);
         flusher_cv_.wait_for(lk, opts_.flusher_poll, [&] {
-          return work_pending_.load(std::memory_order_acquire) ||
+          return asked_lsn() > durable_lsn_.load(std::memory_order_acquire) ||
                  closing_.load(std::memory_order_acquire);
         });
       }
       if (closing_.load(std::memory_order_acquire)) return;  // close() drains
-      work_pending_.store(false, std::memory_order_release);
       LFST_T_SPAN(::lfst::trace::sid::wal_flush);
       std::lock_guard<std::mutex> g(io_mu_);
-      const std::size_t wrote = drain_once_locked();
+      drain_once_locked();
+      // A waiter's LSN may sit behind one a neighbour was granted after
+      // this pass locked its slot; wait out that gap here, or the waiter
+      // would sleep until the next poll.
+      drain_until_locked(asked_lsn());
       const bool interval_due =
           opts_.sync == fsync_policy::interval &&
           (std::chrono::steady_clock::now() - last_sync_) >=
               opts_.sync_interval;
-      if ((opts_.sync == fsync_policy::every_commit &&
-           (wrote > 0 || unsynced_records_ > 0)) ||
-          (interval_due && unsynced_records_ > 0)) {
+      if (unsynced_records_ > 0 &&
+          (opts_.sync == fsync_policy::every_commit || interval_due)) {
         sync_locked();
       }
     }
@@ -567,9 +596,11 @@ class wal {
   std::mutex commit_mu_;
   std::condition_variable commit_cv_;
 
+  // Written only by every_commit waiters (wait_durable); appends never
+  // touch the flusher's state.
+  std::atomic<lsn_t> asked_lsn_{0};
   std::mutex flusher_mu_;
   std::condition_variable flusher_cv_;
-  std::atomic<bool> work_pending_{false};
   std::atomic<bool> closing_{false};
   std::thread flusher_;
 

@@ -2,6 +2,7 @@
 // auto-checkpointing, concurrent commits, and recovered-tree validity.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <set>
@@ -127,6 +128,41 @@ TEST_F(DurableTreeTest, AutoCheckpointFires) {
   durable_tree<long> t(dir_, fast_opts());
   EXPECT_EQ(t.size(), 5000u);
   EXPECT_GT(t.recovery_stats().cp_lsn, 0u);
+}
+
+// checkpoint() from a caller while the background checkpointer polls: the
+// caller writes the checkpointer's byte baseline, the checkpointer reads it
+// on every poll, and the two must not race (TSan sees both accesses).
+TEST_F(DurableTreeTest, ManualCheckpointWhileCheckpointerPolls) {
+  durable_options o = fast_opts();
+  o.checkpoint_bytes = 2048;  // about a hundred records
+  o.checkpoint_poll = std::chrono::milliseconds(1);
+  std::set<long> expected;
+  {
+    durable_tree<long> t(dir_, o);
+    xoshiro256ss rng{thread_seed(0x5eed, 0)};
+    for (int round = 0; round < 40; ++round) {
+      for (int i = 0; i < 150; ++i) {
+        const long key = static_cast<long>(rng.below(4096));
+        if (rng.below(100) < 70) {
+          if (t.add(key)) expected.insert(key);
+        } else {
+          if (t.remove(key)) expected.erase(key);
+        }
+      }
+      t.checkpoint();
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+    t.close();
+  }
+  durable_tree<long> t(dir_, fast_opts());
+  EXPECT_EQ(t.size(), expected.size());
+  for (long key : expected) {
+    EXPECT_TRUE(t.contains(key)) << "lost key " << key;
+  }
+  const auto rep =
+      skiptree::skip_tree_inspector<long>(t.tree()).validate();
+  EXPECT_TRUE(rep.ok) << rep.to_string();
 }
 
 TEST_F(DurableTreeTest, EveryCommitPolicyAcksDurable) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <set>
@@ -60,6 +61,55 @@ TEST_F(WalTest, WaitDurableBlocksUntilFsync) {
   log.wait_durable(lsn);
   EXPECT_GE(log.durable(), lsn);
   EXPECT_GE(log.stats().fsyncs, 1u);
+}
+
+// Appends never wake the flusher, so under every_commit the waiter must:
+// with a 10 s poll, a lost wake-up shows as a wait that lasts the poll.
+TEST_F(WalTest, WaitDurableWakesTheFlusher) {
+  wal_options o;
+  o.sync = fsync_policy::every_commit;
+  o.flusher_poll = std::chrono::seconds(10);
+  wal log(dir_, 1, o);
+  for (std::uint64_t k = 1; k <= 5; ++k) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const lsn_t lsn = log.append(wal_op::add, &k, sizeof(k));
+    log.wait_durable(lsn);
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    ASSERT_LT(waited, std::chrono::seconds(2)) << "record " << k;
+    EXPECT_GE(log.durable(), lsn);
+  }
+  log.close();
+}
+
+// Under interval nobody wakes the flusher: its poll alone must drain the
+// slots and fsync them, with no flush() call.
+TEST_F(WalTest, PollAloneHardensIntervalAppends) {
+  constexpr int kThreads = 2;
+  constexpr std::uint64_t kPerThread = 2000;
+  wal_options o;
+  o.sync = fsync_policy::interval;
+  o.sync_interval = std::chrono::milliseconds(1);
+  wal log(dir_, 1, o);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t payload =
+            (static_cast<std::uint64_t>(t) << 32) | i;
+        log.append(wal_op::add, &payload, sizeof(payload));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const lsn_t n = kThreads * kPerThread;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (log.durable() < n && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(log.durable(), n);
+  EXPECT_GE(log.stats().fsyncs, 1u);
+  log.close();
 }
 
 TEST_F(WalTest, ScanRecoversEverythingAfterClose) {
